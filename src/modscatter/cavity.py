@@ -5,8 +5,17 @@ The waveguide is a uniform grid of right- and left-moving envelope amplitudes
 step is a split-step update with no stability limit and no numerical
 dispersion:
 
-* advection: with dt = dx/v_g each mover shifts exactly one cell; amplitudes
-  crossing the domain edges accumulate into reflected/transmitted tallies;
+* advection: with dt = dx/v_g each mover shifts exactly one cell, so the
+  field between the emitters is a pure delay line. The shift is a moving
+  frame: each mover sits in a fixed buffer of 2*n_cells cells, a step moves
+  the live window's start index by one and zeroes the one cell that enters,
+  and the window is copied back once every n_cells steps, so a step costs
+  O(emitters) rather than O(cells). Amplitudes crossing the domain edges
+  accumulate into reflected/transmitted tallies. The cavity probability
+  (cells between the emitters plus the emitters) changes only through the
+  four fluxes across the cavity edges, since the coupling below is unitary
+  on each emitter cell with its emitter; it is updated from those fluxes and
+  recounted from scratch every 2000 steps as a checked invariant;
 * local coupling: at each emitter cell the triple (phi_R, phi_L, e) evolves
   by the exact exponential of its 3x3 generator. In the rotated basis the
   bright combination (e^{i theta} phi_R + e^{-i theta} phi_L)/sqrt(2) couples
@@ -31,9 +40,34 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CflViolationError, ResolutionError
+from .errors import (
+    CflViolationError,
+    InvariantError,
+    OutOfRangeError,
+    ResolutionError,
+)
 
 SQ2 = math.sqrt(2.0)
+# largest grid a protocol may ask for: 50x the default. At the cap a release
+# run steps 7.7e6 times and holds about 0.2 GB of field buffers and series.
+MAX_CELLS = 1_000_000
+# steps between norm samples and p_cav recounts, and the largest disagreement
+# allowed between the flux-updated p_cav and its recount
+P_CAV_CHECK_EVERY = 2000
+P_CAV_TOLERANCE = 1e-12
+
+
+def _check_grid_inputs(bandwidth: float, n_cells: int) -> None:
+    """Refuse a packet bandwidth or cell count outside the runnable domain
+    before any geometry is derived or any array allocated."""
+    if not (math.isfinite(bandwidth) and bandwidth > 0.0):
+        raise OutOfRangeError(
+            f"bandwidth must be finite and > 0, got {bandwidth!r}"
+        )
+    if not 1 <= n_cells <= MAX_CELLS:
+        raise OutOfRangeError(
+            f"cells must lie in [1, {MAX_CELLS}] (MAX_CELLS), got {n_cells}"
+        )
 
 
 @dataclass(frozen=True)
@@ -114,6 +148,7 @@ class TrapProtocol:
     group_velocity: float = 1.0
 
     def __post_init__(self):
+        _check_grid_inputs(self.packet.bandwidth, self.n_cells)
         if self.right_site.position <= self.left_site.position:
             raise ValueError("sites must satisfy x_left < x_right")
         sched = self.left_schedule
@@ -153,21 +188,114 @@ class TrapProtocol:
         return tuple(out)
 
 
-@dataclass
 class GridState:
-    """Mutable simulation state. Fields phi_R/phi_L hold envelope field
-    amplitudes normalized so that sum (|phi_R|^2+|phi_L|^2) dx + sum |e|^2
-    plus the boundary tallies equals 1."""
+    """Mutable simulation state in the moving frame.
 
-    dx: float
-    n_cells: int
-    time: float
-    phi_R: np.ndarray
-    phi_L: np.ndarray
-    e_site: np.ndarray
-    positions: np.ndarray          # cell index per site
-    reflected_out: float = 0.0
-    transmitted_out: float = 0.0
+    phi_R/phi_L are the lab-frame envelope amplitudes, normalized so that
+    sum (|phi_R|^2+|phi_L|^2) dx + sum |e|^2 plus the boundary tallies equals
+    1. Each mover lives in a fixed buffer of 2*n_cells cells and phi_R/phi_L
+    are views of its live window: a step moves the window's start by one cell
+    instead of shifting the array, and the window is copied back to the far
+    end of its buffer once every n_cells steps. Assigning phi_R, phi_L or
+    e_site writes into the state and recounts p_cav.
+
+    p_cav is the probability in the cells from the first to the last site
+    (inclusive) plus the emitters. step keeps it up to date from the four
+    fluxes across the cavity edges; writing single cells through the views
+    bypasses it until the next assignment or recount.
+    """
+
+    def __init__(
+        self,
+        dx: float,
+        n_cells: int,
+        time: float,
+        phi_R: np.ndarray,
+        phi_L: np.ndarray,
+        e_site: np.ndarray,
+        positions: np.ndarray,          # cell index per site
+        reflected_out: float = 0.0,
+        transmitted_out: float = 0.0,
+    ):
+        self.dx = dx
+        self.n_cells = n_cells
+        self.time = time
+        self.positions = np.asarray(positions)
+        self.reflected_out = reflected_out
+        self.transmitted_out = transmitted_out
+        self._m_lo = int(self.positions[0])
+        self._m_hi = int(self.positions[-1])
+        # buffer index of lab cell 0: the right mover's start walks down,
+        # the left mover's walks up
+        self._buf_R = np.zeros(2 * n_cells, complex)
+        self._buf_L = np.zeros(2 * n_cells, complex)
+        self._r0 = n_cells
+        self._l0 = 0
+        self.phi_R[:] = phi_R
+        self.phi_L[:] = phi_L
+        self.e_site = e_site
+
+    @property
+    def phi_R(self) -> np.ndarray:
+        return self._buf_R[self._r0 : self._r0 + self.n_cells]
+
+    @phi_R.setter
+    def phi_R(self, values) -> None:
+        self.phi_R[:] = values
+        self.p_cav = _cavity_sum(self)
+
+    @property
+    def phi_L(self) -> np.ndarray:
+        return self._buf_L[self._l0 : self._l0 + self.n_cells]
+
+    @phi_L.setter
+    def phi_L(self, values) -> None:
+        self.phi_L[:] = values
+        self.p_cav = _cavity_sum(self)
+
+    @property
+    def e_site(self) -> np.ndarray:
+        return self._e
+
+    @e_site.setter
+    def e_site(self, values) -> None:
+        self._e = np.array(values, complex)
+        self.p_cav = _cavity_sum(self)
+
+    def _advect(self) -> None:
+        """Move both movers one cell: tally the cells that leave the domain,
+        zero the ones that enter it, and carry p_cav across the cavity edges
+        (R in at m_lo and out past m_hi, L in at m_hi and out past m_lo)."""
+        n, dx = self.n_cells, self.dx
+        R, L = self._buf_R, self._buf_L
+        r0, l0 = self._r0, self._l0
+        lo, hi = self._m_lo, self._m_hi
+        self.transmitted_out += abs(R[r0 + n - 1]) ** 2 * dx
+        self.reflected_out += abs(L[l0]) ** 2 * dx
+        flux = -(abs(R[r0 + hi]) ** 2) - abs(L[l0 + lo]) ** 2
+        if r0 == 0:
+            R[n:] = R[:n]
+            r0 = n
+        if l0 == n:
+            L[:n] = L[n:]
+            l0 = 0
+        r0 -= 1
+        l0 += 1
+        R[r0] = 0.0
+        L[l0 + n - 1] = 0.0
+        self._r0, self._l0 = r0, l0
+        flux += abs(R[r0 + lo]) ** 2 + abs(L[l0 + hi]) ** 2
+        self.p_cav += flux * dx
+
+
+def _cavity_sum(state: GridState) -> float:
+    """p_cav re-summed from the fields (cells m_lo..m_hi plus emitters)."""
+    cav = slice(state._m_lo, state._m_hi + 1)
+    f = (
+        np.sum(np.abs(state.phi_R[cav]) ** 2)
+        + np.sum(np.abs(state.phi_L[cav]) ** 2)
+    ) * state.dx
+    return float(f + np.sum(np.abs(state.e_site) ** 2))
 
 
 def norm(state: GridState) -> float:
@@ -228,13 +356,15 @@ def _couple_site(
     # exact exponential of the local generator over tau; lam folds in the
     # cell-amplitude conversion sqrt(dx)
     m = int(state.positions[i])
+    R, L = state._buf_R, state._buf_L
+    jr, jl = state._r0 + m, state._l0 + m
     sqdx = math.sqrt(state.dx)
     ep = complex(math.cos(theta), math.sin(theta))
-    a_r = state.phi_R[m] * sqdx
-    a_l = state.phi_L[m] * sqdx
+    a_r = R[jr] * sqdx
+    a_l = L[jl] * sqdx
     p = (a_r * ep + a_l / ep) / SQ2
     d = (a_r * ep - a_l / ep) / SQ2
-    e = state.e_site[i]
+    e = state._e[i]
     rho = math.hypot(0.5 * w, lam)
     ph = complex(math.cos(0.5 * w * tau), -math.sin(0.5 * w * tau))
     if rho > 0.0:
@@ -244,28 +374,23 @@ def _couple_site(
         co, sn = 1.0, tau
     e2 = ph * (co * e - 1j * sn * (0.5 * w * e + lam * p))
     p2 = ph * (co * p - 1j * sn * (lam * e - 0.5 * w * p))
-    state.e_site[i] = e2
-    state.phi_R[m] = (p2 + d) / (SQ2 * ep * sqdx)
-    state.phi_L[m] = (p2 - d) * ep / (SQ2 * sqdx)
+    state._e[i] = e2
+    R[jr] = (p2 + d) / (SQ2 * ep * sqdx)
+    L[jl] = (p2 - d) * ep / (SQ2 * sqdx)
 
 
 def step(state: GridState, protocol: TrapProtocol, dt: float) -> GridState:
     """Advance one step in place (and return the state for chaining).
 
-    dt must equal dx / v_g: the advection is then an exact one-cell shift.
+    dt must equal dx / v_g: the advection is then an exact one-cell shift,
+    done by moving each mover's window start (see GridState).
     """
     dx_over_vg = state.dx / protocol.group_velocity
     if abs(dt - dx_over_vg) > 1e-12 * dx_over_vg:
         raise CflViolationError(
             f"dt={dt!r} but exact advection requires dx/v_g={dx_over_vg!r}"
         )
-    # advection with boundary tallies
-    state.transmitted_out += abs(state.phi_R[-1]) ** 2 * state.dx
-    state.reflected_out += abs(state.phi_L[0]) ** 2 * state.dx
-    state.phi_R[1:] = state.phi_R[:-1]
-    state.phi_R[0] = 0.0
-    state.phi_L[:-1] = state.phi_L[1:]
-    state.phi_L[-1] = 0.0
+    state._advect()
     # local coupling, modulation sampled at the step midpoint
     offsets = protocol.site_frequency_offsets(state.time + 0.5 * dt)
     for i, site in enumerate(protocol.sites()):
@@ -293,12 +418,45 @@ class TrapReport:
     release_fidelity: float | None = None
 
 
-def _p_cav(state: GridState, m_lo: int, m_hi: int) -> float:
-    f = (
-        np.sum(np.abs(state.phi_R[m_lo : m_hi + 1]) ** 2)
-        + np.sum(np.abs(state.phi_L[m_lo : m_hi + 1]) ** 2)
-    ) * state.dx
-    return float(f + np.sum(np.abs(state.e_site) ** 2))
+def _run_grid(protocol: TrapProtocol):
+    """The grid run loop: step from the initial packet to the horizon.
+
+    Records the time and p_cav after every step. Every P_CAV_CHECK_EVERY
+    steps (and after the last) it samples the norm drift and recounts p_cav
+    from the fields; the flux-updated tally must agree with the recount to
+    P_CAV_TOLERANCE or the run stops with InvariantError. Returns the final
+    state, the time and p_cav series, the largest norm drift, and the
+    transmitted tally at the right mirror's switch-on (None without one).
+    """
+    dx = protocol.domain_length / protocol.n_cells
+    dt = dx / protocol.group_velocity
+    state = init_grid(protocol.domain_length, dx, protocol.packet, protocol)
+    n_steps = int(round(protocol.horizon / dt))
+    times = np.empty(n_steps)
+    p_cav = np.empty(n_steps)
+    norm_drift = 0.0
+    t_rel = None
+    trans_at_release = None
+    if protocol.right_schedule is not None:
+        t_rel = protocol.right_schedule.switch_on
+        trans_at_release = 0.0
+    for k in range(n_steps):
+        step(state, protocol, dt)
+        times[k] = state.time
+        p_cav[k] = state.p_cav
+        if t_rel is not None and state.time <= t_rel:
+            trans_at_release = state.transmitted_out
+        if k % P_CAV_CHECK_EVERY == 0 or k == n_steps - 1:
+            norm_drift = max(norm_drift, abs(1.0 - norm(state)))
+            recount = _cavity_sum(state)
+            if abs(recount - state.p_cav) > P_CAV_TOLERANCE:
+                raise InvariantError(
+                    f"p_cav tally {state.p_cav!r} disagrees with its recount "
+                    f"{recount!r} by more than {P_CAV_TOLERANCE:g} at "
+                    f"t={state.time:g}"
+                )
+            state.p_cav = recount
+    return state, times, p_cav, norm_drift, trans_at_release
 
 
 def run_protocol(protocol: TrapProtocol) -> TrapReport:
@@ -308,33 +466,11 @@ def run_protocol(protocol: TrapProtocol) -> TrapReport:
     round trips for the default protocol); the leakage rate is a straight-line
     fit of log P_cav between one and five round trips after switch-off.
     """
-    dx = protocol.domain_length / protocol.n_cells
-    dt = dx / protocol.group_velocity
-    state = init_grid(protocol.domain_length, dx, protocol.packet, protocol)
-    m_lo, m_hi = int(state.positions[0]), int(state.positions[1])
-    n_steps = int(round(protocol.horizon / dt))
-    times = np.empty(n_steps)
-    p_cav = np.empty(n_steps)
-    norm_drift = 0.0
-    t_rel = None
-    if protocol.right_schedule is not None:
-        t_rel = protocol.right_schedule.switch_on
-    trans_at_release = 0.0
-    eta = 0.0
-    measured = False
-    for k in range(n_steps):
-        step(state, protocol, dt)
-        times[k] = state.time
-        p_cav[k] = _p_cav(state, m_lo, m_hi)
-        if not measured and state.time >= protocol.measure_time:
-            eta = p_cav[k]
-            measured = True
-        if t_rel is not None and state.time <= t_rel:
-            trans_at_release = state.transmitted_out
-        if k % 2000 == 0 or k == n_steps - 1:
-            norm_drift = max(norm_drift, abs(1.0 - norm(state)))
-    if not measured:
+    state, times, p_cav, norm_drift, trans_at_release = _run_grid(protocol)
+    measured = np.flatnonzero(times >= protocol.measure_time)
+    if measured.size == 0:
         raise ValueError("horizon ends before measure_time")
+    eta = p_cav[measured[0]]
     sched = protocol.left_schedule
     has_off = sched is not None and sched.switch_off is not None
     t_off = sched.switch_off if has_off else 0.0
@@ -347,7 +483,7 @@ def run_protocol(protocol: TrapProtocol) -> TrapReport:
         leak = float("nan")
     released = None
     fidelity = None
-    if t_rel is not None:
+    if trans_at_release is not None:
         released = float(state.transmitted_out - trans_at_release)
         fidelity = released / eta if eta > 0 else 0.0
     return TrapReport(
@@ -388,6 +524,7 @@ def default_trap_protocol(
     switch_off=False leaves the modulation on forever (no trap closes);
     release=True re-modulates the right mirror at the measurement time.
     """
+    _check_grid_inputs(bandwidth, n_cells)
     sx = 1.0 / (2.0 * bandwidth)
     x_launch = 6.0 * sx
     x_left = 14.0 * sx
@@ -433,8 +570,9 @@ def run_packet_scattering(
     Returns the transmitted/reflected probabilities after the run flushes,
     plus the residual probability left in the domain and the norm drift.
     Implemented as a two-site protocol whose second site has zero coupling
-    (exactly transparent), so it exercises the same machinery as the trap.
+    (exactly transparent), so it runs the same loop as the trap.
     """
+    _check_grid_inputs(bandwidth, n_cells)
     sx = 1.0 / (2.0 * bandwidth)
     domain = 24.0 * sx
     sched = None
@@ -450,22 +588,14 @@ def run_packet_scattering(
         n_cells=n_cells,
         horizon=30.0 * sx,
     )
-    dx = domain / n_cells
-    dt = dx / protocol.group_velocity
-    state = init_grid(domain, dx, protocol.packet, protocol)
-    n_steps = int(round(protocol.horizon / dt))
-    norm_drift = 0.0
-    for k in range(n_steps):
-        step(state, protocol, dt)
-        if k % 2000 == 0 or k == n_steps - 1:
-            norm_drift = max(norm_drift, abs(1.0 - norm(state)))
+    state, times, _, norm_drift, _ = _run_grid(protocol)
     residual = norm(state) - state.reflected_out - state.transmitted_out
     return {
         "T": state.transmitted_out,
         "R": state.reflected_out,
         "residual": float(residual),
         "norm_drift": float(norm_drift),
-        "steps": n_steps,
+        "steps": len(times),
     }
 
 

@@ -37,7 +37,12 @@ EXIT_QUALITY = 2
 EXIT_USAGE = 64
 EXIT_INTERNAL = 70
 
-_QUALITY_CODES = {"truncation-failure", "singular-system", "unstable-step"}
+_QUALITY_CODES = {
+    "truncation-failure",
+    "singular-system",
+    "unstable-step",
+    "invariant-violation",
+}
 _USAGE_CODES = {
     "resolution-error",
     "not-static",

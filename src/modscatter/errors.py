@@ -70,3 +70,9 @@ class ResolutionError(ScatterError):
     """Grid too coarse to resolve the packet envelope."""
 
     code = "resolution-error"
+
+
+class InvariantError(ScatterError):
+    """An incrementally updated quantity disagrees with its recount."""
+
+    code = "invariant-violation"

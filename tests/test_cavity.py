@@ -6,7 +6,9 @@ import pytest
 from modscatter import (
     CflViolationError,
     EmitterSite,
+    InvariantError,
     ModulationSchedule,
+    OutOfRangeError,
     PacketSpec,
     ResolutionError,
     TrapProtocol,
@@ -169,6 +171,42 @@ class TestBallisticTransport:
         assert np.all(state.phi_L == 0.0)
         assert np.all(state.e_site == 0.0)
 
+    def test_moving_frame_matches_roll_reference_across_wraps(self):
+        proto = ballistic_protocol()
+        dx = proto.domain_length / proto.n_cells
+        state = init_grid(proto.domain_length, dx, proto.packet, proto)
+        n = state.n_cells
+        m_lo, m_hi = state.positions
+        cav = slice(m_lo, m_hi + 1)
+        rng = np.random.default_rng(11)
+        ref_R = state.phi_R.copy()
+        ref_L = np.zeros(n, complex)
+        trans = refl = 0.0
+        for k in range(2 * n + 500):
+            if k % 997 == 0:
+                # fresh content in both movers, so every wrap carries some
+                kick_R = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                kick_L = rng.standard_normal(n) - 1j * rng.standard_normal(n)
+                ref_R = ref_R + 0.01 * kick_R
+                ref_L = ref_L + 0.01 * kick_L
+                state.phi_R = state.phi_R + 0.01 * kick_R
+                state.phi_L = state.phi_L + 0.01 * kick_L
+            trans += abs(ref_R[-1]) ** 2 * dx
+            refl += abs(ref_L[0]) ** 2 * dx
+            ref_R = np.roll(ref_R, 1)
+            ref_R[0] = 0.0
+            ref_L = np.roll(ref_L, -1)
+            ref_L[-1] = 0.0
+            step(state, proto, dx)
+            np.testing.assert_array_equal(state.phi_R, ref_R)
+            np.testing.assert_array_equal(state.phi_L, ref_L)
+            # both movers cross both cavity edges: all four fluxes count
+            direct = (np.sum(np.abs(ref_R[cav]) ** 2)
+                      + np.sum(np.abs(ref_L[cav]) ** 2)) * dx
+            assert abs(state.p_cav - direct) <= 1e-12
+        assert state.transmitted_out == trans
+        assert state.reflected_out == refl
+
     def test_full_transit_exits_with_unit_tally(self):
         proto = ballistic_protocol()
         dx = proto.domain_length / proto.n_cells
@@ -267,3 +305,72 @@ class TestTrapProtocolRuns:
         assert 0.0 < report.released_probability <= report.eta + 1e-9
         assert report.released_probability > 0.3
         assert 0.0 < report.release_fidelity <= 1.0
+
+
+@pytest.fixture(scope="module")
+def short_release():
+    proto = default_trap_protocol(bandwidth=0.1, n_cells=1500, release=True)
+    return proto, run_protocol(proto)
+
+
+class TestCavityTally:
+    def test_flux_tally_matches_direct_sum_every_step(self, short_release):
+        proto, report = short_release
+        dx = proto.domain_length / proto.n_cells
+        state = init_grid(proto.domain_length, dx, proto.packet, proto)
+        m_lo, m_hi = state.positions
+        cav = slice(m_lo, m_hi + 1)
+        direct = np.empty(len(report.times))
+        for k in range(len(direct)):
+            step(state, proto, dx)
+            direct[k] = (
+                np.sum(np.abs(state.phi_R[cav]) ** 2)
+                + np.sum(np.abs(state.phi_L[cav]) ** 2)
+            ) * dx + np.sum(np.abs(state.e_site) ** 2)
+        assert np.max(np.abs(report.p_cav - direct)) <= 1e-12
+
+    def test_short_release_metrics_are_frozen(self, short_release):
+        _, report = short_release
+        assert report.eta == pytest.approx(0.6880567503080638, abs=1e-12)
+        assert report.reflected_out == pytest.approx(
+            0.2500601440348175, abs=1e-12
+        )
+        assert report.transmitted_out == pytest.approx(
+            0.7499057276456687, abs=1e-12
+        )
+        assert report.released_probability == pytest.approx(
+            0.6166561408695957, abs=1e-12
+        )
+
+    def test_tally_drift_raises(self, monkeypatch):
+        # a leak the flux tally cannot see: the recount must catch it
+        real_step = step
+
+        def leaky_step(state, protocol, dt):
+            real_step(state, protocol, dt)
+            m = int(state.positions[0]) + 5
+            state.phi_R[m] *= 0.5
+            return state
+
+        monkeypatch.setattr("modscatter.cavity.step", leaky_step)
+        proto = default_trap_protocol(bandwidth=0.1, n_cells=1500)
+        with pytest.raises(InvariantError):
+            run_protocol(proto)
+
+
+class TestGridInputRefusals:
+    @pytest.mark.parametrize("kwargs", [
+        dict(bandwidth=0.0),
+        dict(bandwidth=-0.05),
+        dict(bandwidth=float("nan")),
+        dict(bandwidth=float("inf")),
+        dict(n_cells=0),
+        dict(n_cells=1_000_001),
+    ])
+    def test_default_protocol_refuses(self, kwargs):
+        with pytest.raises(OutOfRangeError):
+            default_trap_protocol(**kwargs)
+
+    def test_packet_scattering_refuses_zero_bandwidth(self):
+        with pytest.raises(OutOfRangeError):
+            run_packet_scattering(bandwidth=0.0)

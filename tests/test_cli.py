@@ -267,6 +267,29 @@ class TestTrapCommand:
         assert "[trap]" in out
         assert "bandwidth = 0.1" in out
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--cells", "0"),
+        ("--cells", "-5"),
+        ("--cells", "1000001"),
+        ("--cells", "50000000"),
+        ("--bandwidth", "0"),
+        ("--bandwidth", "-0.05"),
+        ("--bandwidth", "nan"),
+        ("--bandwidth", "inf"),
+    ])
+    def test_out_of_range_inputs_refused_before_running(
+        self, flag, value, capsys, monkeypatch
+    ):
+        # oversized grids are checked by refusal only, never by running them
+        def never_run(protocol):
+            raise AssertionError("refused input reached the grid")
+
+        monkeypatch.setattr("modscatter.cli.run_protocol", never_run)
+        assert main(["trap", flag, value]) == 64
+        err = capsys.readouterr().err
+        assert "error[out-of-range]" in err
+        assert ("[1, 1000000]" if flag == "--cells" else "> 0") in err
+
 
 class TestVersionFlag:
     def test_version_exits_cleanly(self, capsys):
