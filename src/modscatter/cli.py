@@ -27,7 +27,7 @@ from .dataio import (
     render_csv,
     render_json,
 )
-from .errors import ScatterError
+from .errors import OutOfRangeError, ScatterError
 from .oracles import cross_validate
 from .params import normalized_params
 from .sweeps import SweepSpec, figure_presets, run_sweep
@@ -36,6 +36,7 @@ EXIT_OK = 0
 EXIT_QUALITY = 2
 EXIT_USAGE = 64
 EXIT_INTERNAL = 70
+MAX_PRECISION = 16  # %.16e gives 17 significant digits: every double round-trips
 
 _QUALITY_CODES = {
     "truncation-failure",
@@ -86,7 +87,8 @@ def _join_range_values(argv: list[str]) -> list[str]:
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="output file (default: dataset to stdout)")
     p.add_argument("--format", choices=("csv", "json"), default=None)
-    p.add_argument("--precision", type=int, default=None)
+    p.add_argument("--precision", type=int, default=None,
+                   help=f"digits after the point, 0 to {MAX_PRECISION} (default 12)")
     p.add_argument("--stamp", action="store_true", default=None,
                    help="include a timestamp line in the metadata")
     p.add_argument("--config", help="INI config file; explicit flags override it")
@@ -182,10 +184,15 @@ def _load_cfg(args) -> dict[str, dict[str, str]]:
 
 def _output_options(args, cfg) -> dict:
     out_cfg = cfg.get("output", {})
+    precision = _pick(args.precision, out_cfg, "precision", 12, int)
+    if not 0 <= precision <= MAX_PRECISION:
+        raise OutOfRangeError(
+            f"precision {precision} outside [0, {MAX_PRECISION}]"
+        )
     return {
         "out": _pick(args.out, out_cfg, "out", None, str),
         "format": _pick(args.format, out_cfg, "format", "csv", str),
-        "precision": _pick(args.precision, out_cfg, "precision", 12, int),
+        "precision": precision,
         "stamp": _pick(args.stamp, out_cfg, "stamp", False, bool),
     }
 

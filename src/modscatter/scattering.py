@@ -60,6 +60,8 @@ class SidebandSet:
             )
 
     def amplitude(self, n: int, which: str = "t") -> complex:
+        if which not in ("r", "t"):
+            raise ValueError(f"which must be 'r' or 't', not {which!r}")
         i = int(n) - int(self.ns[0])
         if i < 0 or i >= len(self.ns):
             raise IndexError(f"sideband order {n} outside truncation window")
@@ -162,11 +164,6 @@ def reflection_amplitudes(params: EmitterParams, query: ScatteringQuery) -> Side
     return _assemble(params, query.detuning, trunc, ns, r)
 
 
-def transmission_amplitudes(params: EmitterParams, query: ScatteringQuery) -> SidebandSet:
-    """Alias view of reflection_amplitudes; t_n = r_n + delta_{n0} exactly."""
-    return reflection_amplitudes(params, query)
-
-
 def excitation_coefficients(params: EmitterParams, query: ScatteringQuery) -> ExcitationSpectrum:
     """Emitter-excitation Fourier coefficients, fixed by e_n = i v_g r_n / V.
 
@@ -179,11 +176,6 @@ def excitation_coefficients(params: EmitterParams, query: ScatteringQuery) -> Ex
     sset = reflection_amplitudes(params, query)
     coeffs = 1j * params.group_velocity * sset.r / params.coupling
     return ExcitationSpectrum(ns=sset.ns, coeffs=coeffs)
-
-
-def total_probabilities(sset: SidebandSet) -> tuple[float, float]:
-    """(T, R) totals of a populated sideband set."""
-    return sset.total_T, sset.total_R
 
 
 def static_limit_amplitudes(params: EmitterParams, detuning: float) -> SidebandSet:
@@ -212,12 +204,13 @@ def static_limit_amplitudes(params: EmitterParams, detuning: float) -> SidebandS
 
 def auto_truncation(
     params: EmitterParams, detuning: float, tol: float = 1e-10
-) -> TruncationSpec:
-    """Pick a truncation whose unitarity defect is below tol.
+) -> SidebandSet:
+    """The first sideband set whose unitarity defect is below tol.
 
     Starts at N = ceil(u + 8 u^(1/3) + 12) (the Bessel turnover plus an
     Airy-width margin), L = N + 8, and doubles N until the defect passes or
-    the hard cap N = 512 is exceeded.
+    the hard cap N = 512 is exceeded. The converged set is returned as
+    evaluated; its truncation is `truncation_used`.
     """
     if not (tol > 0):
         raise ValueError("tol must be positive")
@@ -230,7 +223,7 @@ def auto_truncation(
         sset = reflection_amplitudes(params, ScatteringQuery(detuning, trunc))
         best_defect = min(best_defect, sset.unitarity_defect)
         if sset.unitarity_defect < tol:
-            return trunc
+            return sset
         if n >= 512:
             raise TruncationError(
                 f"unitarity defect {best_defect:.3e} still above tol={tol:g} "
@@ -253,5 +246,5 @@ def evaluate_sidebands(
     if params.mod_freq == 0:
         return static_limit_amplitudes(params, detuning)
     if truncation is None:
-        truncation = auto_truncation(params, detuning, tol)
+        return auto_truncation(params, detuning, tol)
     return reflection_amplitudes(params, ScatteringQuery(detuning, truncation))

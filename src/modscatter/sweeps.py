@@ -2,14 +2,12 @@
 
 A sweep varies exactly one of {detuning, mod_amp_energy, mod_freq} in
 gamma-normalized units, evaluates the requested observables per point with
-per-point adaptive truncation, and returns a deterministic dataset whose row
-order never depends on scheduling.
+per-point adaptive truncation, and returns a deterministic dataset in axis
+order.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,6 +80,15 @@ class SpectrumDataset:
         return self.columns[name]
 
 
+def _transmitted(sset: SidebandSet, orders) -> dict[str, float]:
+    """T_n = |t_n|^2 per requested order, zero outside the truncation window."""
+    out: dict[str, float] = {}
+    for n in orders:
+        i = int(n) - int(sset.ns[0])
+        out[f"T_{n}"] = float(abs(sset.t[i]) ** 2) if 0 <= i < len(sset.ns) else 0.0
+    return out
+
+
 def sideband_resolved(
     params: EmitterParams, detuning: float, n_list: tuple[int, ...] | list[int]
 ) -> dict:
@@ -91,18 +98,11 @@ def sideband_resolved(
     caller can see how much probability the requested orders miss.
     """
     sset = evaluate_sidebands(params, detuning)
-    out: dict = {}
-    listed = set()
-    for n in n_list:
-        i = int(n) - int(sset.ns[0])
-        out[f"T_{n}"] = float(abs(sset.t[i]) ** 2) if 0 <= i < len(sset.ns) else 0.0
-        listed.add(int(n))
-    resid = sum(
-        float(abs(sset.t[i]) ** 2)
-        for i, n in enumerate(sset.ns)
-        if int(n) not in listed
+    out = _transmitted(sset, n_list)
+    listed = {int(n) for n in n_list}
+    out["T_residual"] = sum(
+        float(abs(t) ** 2) for n, t in zip(sset.ns, sset.t) if int(n) not in listed
     )
-    out["T_residual"] = resid
     out["T"] = sset.total_T
     return out
 
@@ -120,9 +120,7 @@ def _observables_for_row(
             row["unitarity_defect"] = sset.unitarity_defect
         else:
             raise ValueError(f"unknown observable {name!r}")
-    for n in spec.sideband_orders:
-        i = int(n) - int(sset.ns[0])
-        row[f"T_{n}"] = float(abs(sset.t[i]) ** 2) if 0 <= i < len(sset.ns) else 0.0
+    row.update(_transmitted(sset, spec.sideband_orders))
     if hb_total is not None:
         row["discrepancy"] = abs(sset.total_T - hb_total)
     return row
@@ -160,27 +158,10 @@ def _eval_point(spec: SweepSpec, value: float) -> tuple[dict[str, float], int, b
     )
 
 
-def worker_count() -> int:
-    """Worker cap: SCATTER_THREADS if set, else the available cores."""
-    env = os.environ.get("SCATTER_THREADS", "").strip()
-    if env:
-        try:
-            n = int(env)
-        except ValueError as exc:
-            raise ValueError(f"SCATTER_THREADS={env!r} is not an integer") from exc
-        return max(1, n)
-    return os.cpu_count() or 1
-
-
 def run_sweep(spec: SweepSpec) -> SpectrumDataset:
-    """Evaluate the sweep; points run in parallel, rows stay axis-ordered."""
+    """Evaluate the sweep point by point, rows in axis order."""
     values = spec.axis_values()
-    workers = worker_count()
-    if workers > 1 and len(values) > 8:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda v: _eval_point(spec, v), values))
-    else:
-        results = [_eval_point(spec, v) for v in values]
+    results = [_eval_point(spec, v) for v in values]
     names = list(results[0][0].keys())
     columns = {
         name: np.array([row[name] for row, _, _ in results]) for name in names

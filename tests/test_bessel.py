@@ -53,6 +53,47 @@ class TestAgainstScipy:
         )
 
 
+BUDGET_ARGS = (1e-300, 1e-12, 1e-6, 0.37, 2.5, 5.999, 6.0, 6.001, 60.0, 333.3, 998.9)
+BUDGET_SPOT_ORDERS = (0, 1, 2, 7, 55, 999, 1500)
+
+
+def mpmath_sequence(mpmath, n_max, x):
+    """J_0(x) .. J_{n_max}(x) as floats from a 40-digit backward recurrence.
+
+    Started far above both n_max and x and scaled to mpmath's own J_0(x);
+    40 digits and unbounded exponents leave no rounding or underflow issue.
+    """
+    with mpmath.workdps(40):
+        xm = mpmath.mpf(x)
+        f_above, f = mpmath.mpf(0), mpmath.mpf(1)
+        seq = [f] * (n_max + 1)
+        for k in range(int(max(n_max, x)) + 100, 0, -1):
+            f_above, f = f, 2 * k / xm * f - f_above  # f is now f_{k-1}
+            if k - 1 <= n_max:
+                seq[k - 1] = f
+        scale = mpmath.besselj(0, xm) / f
+        return np.array([float(v * scale) for v in seq])
+
+
+class TestAccuracyBudget:
+    """The stated budget, 1e-12 absolute on |x| < 1e3, against mpmath."""
+
+    @pytest.mark.parametrize("x", BUDGET_ARGS)
+    def test_orders_0_to_1500_within_budget(self, x):
+        mpmath = pytest.importorskip("mpmath")
+        ref = mpmath_sequence(mpmath, 1500, x)
+        for n in BUDGET_SPOT_ORDERS:
+            # the reference itself, order by order
+            assert ref[n] == pytest.approx(
+                float(mpmath.besselj(n, x)), rel=1e-14, abs=1e-300
+            )
+            # a sequence that ends at order n, as short windows do
+            assert abs(bessel_j(n, x) - ref[n]) <= 1e-12, f"order {n}"
+        err = np.abs(bessel_j_sequence(1500, x) - ref)
+        worst = int(np.argmax(err))
+        assert err[worst] <= 1e-12, f"|error| {err[worst]:.3e} at order {worst}"
+
+
 class TestExactStructure:
     def test_at_zero(self):
         seq = bessel_j_sequence(6, 0.0)

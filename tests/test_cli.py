@@ -63,19 +63,6 @@ class TestSpectrumCommand:
         assert main(argv + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_thread_env_does_not_change_bytes(self, tmp_path, monkeypatch):
-        argv = [
-            "spectrum", "--axis", "detuning", "--range", "-3:3:9",
-            "--mod-amp-energy", "5", "--mod-freq", "2",
-        ]
-        a = tmp_path / "a.csv"
-        b = tmp_path / "b.csv"
-        monkeypatch.setenv("SCATTER_THREADS", "1")
-        assert main(argv + ["--out", str(a)]) == 0
-        monkeypatch.setenv("SCATTER_THREADS", "4")
-        assert main(argv + ["--out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
-
     def test_json_format(self, tmp_path):
         out = tmp_path / "run.json"
         code = main([
@@ -160,6 +147,34 @@ class TestExitCodes:
         _, _, table = read_csv(out)
         assert np.all(table["flagged"] == 1.0)
         assert np.all(np.isnan(table["T"]))
+
+
+class TestPrecisionLimit:
+    """--precision and [output] precision are refused outside [0, 16]."""
+
+    @pytest.fixture(autouse=True)
+    def no_sweep(self, monkeypatch):
+        def never_run(spec):
+            raise AssertionError("refused precision reached the sweep")
+
+        monkeypatch.setattr("modscatter.cli.run_sweep", never_run)
+
+    SWEEP = ["spectrum", "--axis", "detuning", "--range", "-1:1:3"]
+
+    @pytest.mark.parametrize("value", ["17", "-1", "200000"])
+    def test_flag_refused(self, value, capsys):
+        assert main(self.SWEEP + ["--precision", value]) == 64
+        err = capsys.readouterr().err
+        assert "error[out-of-range]" in err
+        assert "[0, 16]" in err
+
+    def test_config_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[output]\nprecision = 100000\n")
+        assert main(self.SWEEP + ["--config", str(cfg)]) == 64
+        err = capsys.readouterr().err
+        assert "error[out-of-range]" in err
+        assert "[0, 16]" in err
 
 
 class TestConfigFile:

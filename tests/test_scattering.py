@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -18,9 +19,8 @@ from modscatter import (
     normalized_params,
     reflection_amplitudes,
     static_limit_amplitudes,
-    total_probabilities,
-    transmission_amplitudes,
 )
+from modscatter import scattering
 
 
 def lorentzian_r(delta, gamma=1.0):
@@ -28,7 +28,7 @@ def lorentzian_r(delta, gamma=1.0):
 
 
 def query_for(params, delta, tol=1e-10):
-    return ScatteringQuery(delta, auto_truncation(params, delta, tol))
+    return ScatteringQuery(delta, auto_truncation(params, delta, tol).truncation_used)
 
 
 class TestModulationIndex:
@@ -85,13 +85,6 @@ class TestSeriesAmplitudes:
         expected[center] += 1.0
         np.testing.assert_array_equal(out.t, expected)
 
-    def test_reflection_and_transmission_agree(self, params_reference):
-        q = query_for(params_reference, 0.7)
-        a = reflection_amplitudes(params_reference, q)
-        b = transmission_amplitudes(params_reference, q)
-        np.testing.assert_array_equal(a.r, b.r)
-        np.testing.assert_array_equal(a.t, b.t)
-
     def test_zero_amplitude_collapses_to_lorentzian(self, params_unmodulated):
         out = evaluate_sidebands(params_unmodulated, 0.9)
         center = np.where(out.ns == 0)[0][0]
@@ -125,6 +118,11 @@ class TestSeriesAmplitudes:
         assert e.r_n == out.amplitude(0, "r")
         assert e.t_n == out.amplitude(0, "t")
         assert e.propagating
+
+    def test_amplitude_refuses_unknown_side(self, params_reference):
+        out = evaluate_sidebands(params_reference, 0.0)
+        with pytest.raises(ValueError, match="'r' or 't'"):
+            out.amplitude(0, "T")
 
     def test_nonphysical_sideband_warning(self):
         p = normalized_params(5.0, 2.0, omega_ratio=10.0)
@@ -172,31 +170,29 @@ class TestExcitationCoefficients:
 
 class TestTotals:
     def test_probabilities_sum_to_one(self, params_reference):
-        T, R = total_probabilities(evaluate_sidebands(params_reference, 1.3))
-        assert T + R == pytest.approx(1.0, abs=1e-10)
+        out = evaluate_sidebands(params_reference, 1.3)
+        assert out.total_T + out.total_R == pytest.approx(1.0, abs=1e-10)
 
     def test_unmodulated_half_half(self, params_unmodulated):
-        T, R = total_probabilities(evaluate_sidebands(params_unmodulated, 1.0))
-        assert T == pytest.approx(0.5, abs=1e-12)
-        assert R == pytest.approx(0.5, abs=1e-12)
+        out = evaluate_sidebands(params_unmodulated, 1.0)
+        assert out.total_T == pytest.approx(0.5, abs=1e-12)
+        assert out.total_R == pytest.approx(0.5, abs=1e-12)
 
 
 class TestTruncationControl:
     def test_auto_truncation_meets_tolerance(self, params_reference):
-        spec = auto_truncation(params_reference, 0.0, tol=1e-10)
-        out = evaluate_sidebands(params_reference, 0.0, truncation=spec)
+        out = auto_truncation(params_reference, 0.0, tol=1e-10)
         assert out.unitarity_defect < 1e-10
 
     def test_auto_truncation_small_index_is_lean(self, params_unmodulated):
-        spec = auto_truncation(params_unmodulated, 0.0, tol=1e-10)
-        assert spec.sideband_max <= 16
+        out = auto_truncation(params_unmodulated, 0.0, tol=1e-10)
+        assert out.truncation_used.sideband_max <= 16
 
     def test_auto_truncation_strong_drive(self):
         p = normalized_params(50.0, 2.0)
-        spec = auto_truncation(p, 0.0, tol=1e-9)
-        out = evaluate_sidebands(p, 0.0, truncation=spec)
+        out = auto_truncation(p, 0.0, tol=1e-9)
         assert out.unitarity_defect < 1e-9
-        assert spec.sideband_max >= 25
+        assert out.truncation_used.sideband_max >= 25
 
     def test_undersized_window_reports_defect(self, params_reference):
         tight = TruncationSpec(sideband_max=2, sum_max=2, unitarity_tol=1e-10)
@@ -220,6 +216,61 @@ class TestTruncationControl:
         out = evaluate_sidebands(params_reference, 0.0)
         assert out.truncation_used.sideband_max >= 1
         assert len(out.ns) == 2 * out.truncation_used.sideband_max + 1
+
+
+def same_bits(a, b):
+    """a and b hold bitwise identical amplitudes, totals and truncation."""
+    assert a.truncation_used == b.truncation_used
+    for name in ("ns", "omega", "q", "r", "t"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    for name in ("total_T", "total_R", "unitarity_defect"):
+        bits = [np.float64(getattr(s, name)).tobytes() for s in (a, b)]
+        assert bits[0] == bits[1], name
+
+
+class TestOneSeriesEvaluationPerPoint:
+    """evaluate_sidebands returns the set auto_truncation converged on."""
+
+    @staticmethod
+    def count_series_calls(monkeypatch, unconverged=0):
+        calls = []
+        series = scattering.reflection_amplitudes
+
+        def counted(params, query):
+            sset = series(params, query)
+            calls.append(query.truncation.sideband_max)
+            if len(calls) <= unconverged:
+                # a defect above any tolerance makes the truncation double
+                sset = dataclasses.replace(sset, unitarity_defect=1.0)
+            return sset
+
+        monkeypatch.setattr(scattering, "reflection_amplitudes", counted)
+        return calls, series
+
+    @pytest.mark.parametrize("amp, delta", [(5.0, 0.0), (5.0, 1.3), (50.0, 0.0)])
+    def test_first_truncation_converges_in_one_call(self, monkeypatch, amp, delta):
+        params = normalized_params(amp, 2.0)
+        calls, series = self.count_series_calls(monkeypatch)
+        sset = evaluate_sidebands(params, delta)
+        assert len(calls) == 1
+        same_bits(sset, series(params, ScatteringQuery(delta, sset.truncation_used)))
+
+    @pytest.mark.parametrize("amp, freq, delta, forced, sizes", [
+        # the resonant term l = Delta/omega = -30 shifts the comb by 30
+        # orders, past the first N = 67, so N doubles once
+        (30.0, 1.0, -30.0, 0, [67, 134]),
+        # N starts at ceil(u + 8 u^(1/3) + 12) = 61 for u = 25
+        (50.0, 2.0, 0.0, 2, [61, 122, 244]),
+    ])
+    def test_each_doubling_costs_one_call(
+        self, monkeypatch, amp, freq, delta, forced, sizes
+    ):
+        params = normalized_params(amp, freq)
+        calls, series = self.count_series_calls(monkeypatch, unconverged=forced)
+        sset = evaluate_sidebands(params, delta)
+        assert calls == sizes  # doublings + 1 evaluations
+        assert sset.truncation_used.sideband_max == sizes[-1]
+        same_bits(sset, series(params, ScatteringQuery(delta, sset.truncation_used)))
 
 
 @settings(max_examples=40, deadline=None)

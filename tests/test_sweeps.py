@@ -9,7 +9,6 @@ from modscatter import (
     run_sweep,
     sideband_resolved,
 )
-from modscatter.sweeps import worker_count
 
 
 def lorentzian_T(delta, gamma=1.0):
@@ -130,28 +129,6 @@ class TestRunSweep:
         )
         ds = run_sweep(spec)
         assert np.all(ds.truncation_orders >= 1)
-
-    def test_thread_count_is_deterministic(self, monkeypatch):
-        spec = SweepSpec(
-            axis="detuning", start=-2.0, stop=2.0, points=9,
-            mod_amp_energy=5.0, mod_freq=2.0,
-        )
-        monkeypatch.setenv("SCATTER_THREADS", "1")
-        serial = run_sweep(spec)
-        monkeypatch.setenv("SCATTER_THREADS", "4")
-        parallel = run_sweep(spec)
-        for name in serial.columns:
-            np.testing.assert_array_equal(
-                serial.column(name), parallel.column(name)
-            )
-
-    def test_worker_count_env_override(self, monkeypatch):
-        monkeypatch.setenv("SCATTER_THREADS", "3")
-        assert worker_count() == 3
-        monkeypatch.setenv("SCATTER_THREADS", "0")
-        assert worker_count() == 1
-        monkeypatch.delenv("SCATTER_THREADS")
-        assert worker_count() >= 1
 
 
 class TestSidebandResolved:
