@@ -28,7 +28,7 @@ from .dataio import (
     render_json,
 )
 from .errors import OutOfRangeError, ScatterError
-from .oracles import cross_validate
+from .oracles import MAX_TD_SAMPLES, cross_validate
 from .params import normalized_params
 from .sweeps import SweepSpec, figure_presets, run_sweep
 
@@ -360,6 +360,11 @@ def cmd_oracle(args) -> int:
         amp, freq = tok.split(":")
         cases.append((float(amp), float(freq)))
     start, stop, points = parse_range(rng)
+    if points > MAX_TD_SAMPLES:  # refused before the grid is allocated
+        raise OutOfRangeError(
+            f"{points} detunings exceeds the limit of {MAX_TD_SAMPLES} "
+            "time-domain orbit samples"
+        )
     deltas = np.linspace(start, stop, points)
     header = ["mod_amp_energy", "mod_freq", "max_dev_series_hb",
               "max_dev_series_td", "max_defect_series", "max_defect_hb",

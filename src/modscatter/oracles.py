@@ -7,9 +7,9 @@ eliminated, leaving the linewidth gamma and the plane-wave drive):
 
 * harmonic balance: expand e(t) = sum_n e_n exp(-i omega_n t); the harmonics
   couple into a tridiagonal linear system solved directly;
-* time domain: integrate the equation from e(0)=0 with a classical 4th-order
-  stepper until the periodic steady state, then project the Fourier
-  coefficients off an integer number of modulation periods.
+* time domain: step the equation with classical 4th-order Runge-Kutta over
+  one modulation period, started on its periodic orbit (Floquet shooting),
+  then project the Fourier coefficients off that period.
 
 Amplitudes follow from either excitation spectrum through the exact relation
 r_n = V e_n / (i v_g), giving an end-to-end cross-check of the closed-form
@@ -21,13 +21,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
-from .errors import BadWindowError, SingularSystemError, UnstableStepError
+from .errors import (
+    BadWindowError,
+    OutOfRangeError,
+    SingularSystemError,
+    UnstableStepError,
+)
 from .params import EmitterParams, ScatteringQuery, TruncationSpec
 from .scattering import ExcitationSpectrum, SidebandSet, _assemble, evaluate_sidebands
 
 RESIDUAL_TOL = 1e-12
+PERIODICITY_TOL = 1e-9
+# gamma*T_mod above which 1/P ~ exp(gamma*t) of the one-period scan nears
+# the float64 overflow at exp(709)
+MAX_DECAY_PER_PERIOD = 600.0
+# (steps per period + 1) x detunings: at the cap each complex array of the
+# scan is 32 MB and an oracle run peaks near 330 MB
+MAX_TD_SAMPLES = 2**21
 
 
 @dataclass(frozen=True)
@@ -78,6 +89,8 @@ def harmonic_balance_solve(
     params: EmitterParams, detuning: float, order: int
 ) -> ExcitationSpectrum:
     """Solve the tridiagonal system with banded LU and verify the residual."""
+    from scipy.linalg import solve_banded  # deferred: 0.3 s to import
+
     if params.gamma == 0:
         raise SingularSystemError("zero coupling makes the system singular")
     sys_ = build_harmonic_balance(params, detuning, order)
@@ -97,11 +110,11 @@ def harmonic_balance_solve(
 
 @dataclass(frozen=True)
 class TimeDomainTrace:
-    """Sampled emitter amplitude e(t_k) plus its extraction window."""
+    """One modulation period of the periodic orbit e(t_k), k = 0..n_per,
+    in the lab frame, plus its extraction window (0, T_mod)."""
 
     dt: float
-    horizon: float
-    samples: np.ndarray       # shape (n_steps+1,) or (n_steps+1, n_detunings)
+    samples: np.ndarray       # shape (n_per+1,) or (n_per+1, n_detunings)
     window: tuple[float, float]
     detuning: np.ndarray
     omega_0: np.ndarray
@@ -117,107 +130,129 @@ def _step_bound(params: EmitterParams, detunings: np.ndarray) -> float:
     return 1.0 / (50.0 * scale) if scale > 0 else np.inf
 
 
+def _rk4_step(params: EmitterParams, deltas: np.ndarray, t, y, dt: float):
+    """One classical RK4 step of the rotating-frame equation
+    y' = [i(Delta - f*Omega cos(omega t)) - gamma] y - iV, vectorised over
+    step start times t (a column) and detunings (a row)."""
+    fo, om = params.mod_amp * params.omega_a, params.mod_freq
+    gamma, v = params.gamma, params.coupling
+
+    def rhs(s, z):
+        return (1j * (deltas - fo * np.cos(om * s)) - gamma) * z - 1j * v
+
+    k1 = rhs(t, y)
+    k2 = rhs(t + 0.5 * dt, y + 0.5 * dt * k1)
+    k3 = rhs(t + 0.5 * dt, y + 0.5 * dt * k2)
+    k4 = rhs(t + dt, y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _carrier(n_samples: int, dt: float, omega_0: np.ndarray) -> np.ndarray:
+    """exp(-i omega_0 t_k): the lab-frame factor of the stored samples."""
+    return np.exp(-1j * np.outer(np.arange(n_samples) * dt, omega_0))
+
+
 def time_domain_excitation(
     params: EmitterParams,
     detuning,
-    horizon: float | None = None,
     dt: float | None = None,
 ) -> TimeDomainTrace:
-    """Integrate the reduced equation to the periodic steady state.
+    """RK4 orbit of the reduced equation over one period of its periodic
+    steady state.
 
-    detuning may be a scalar or an array; an array integrates all traces in
-    one vectorized pass (the per-step work is a handful of array ops, so wide
-    batches cost barely more than one trace).
+    The equation is linear, so each RK4 step is exactly an affine map
+    y -> A_k y + B_k. With P = cumprod(A) and S = cumsum(B/P) the orbit is
+    y_{k+1} = P_k (y0 + S_k), and the one-period map y -> M y + M S[-1]
+    (M = P[-1]) fixes the periodic start y0 = M S[-1] / (1 - M): Floquet
+    shooting (Shirley, Phys. Rev. 138, B979 (1965)), with no transient to
+    burn in. The iterates equal those of stepping the same RK4 from y0 up
+    to round-off.
 
-    The carrier exp(-i omega_0 t) is factored out analytically before
-    stepping and restored on the stored samples, so the step-size bound
+    detuning may be a scalar or an array; an array runs every column in the
+    same vectorised scan. The carrier exp(-i omega_0 t) is factored out
+    analytically and restored on the stored samples, so the step-size bound
     involves only gamma, |Delta|, omega and f*Omega, not omega_0.
+
+    Refuses with OutOfRangeError, before allocating anything, when
+    gamma*T_mod exceeds MAX_DECAY_PER_PERIOD (1/P would overflow) or when
+    the orbit would hold more than MAX_TD_SAMPLES samples.
     """
     deltas = np.atleast_1d(np.asarray(detuning, float))
     scalar = np.ndim(detuning) == 0
-    gamma, om = params.gamma, params.mod_freq
-    fo = params.mod_amp * params.omega_a
-    v = params.coupling
+    om = params.mod_freq
     if om <= 0:
         raise ValueError("time-domain oracle requires mod_freq > 0")
+    t_mod = 2.0 * np.pi / om
+    if not params.gamma * t_mod <= MAX_DECAY_PER_PERIOD:
+        raise OutOfRangeError(
+            f"gamma*T_mod = {params.gamma * t_mod:.4g} exceeds the limit "
+            f"{MAX_DECAY_PER_PERIOD:g} of the one-period scan; mod_freq must "
+            f"be >= {2.0 * np.pi * params.gamma / MAX_DECAY_PER_PERIOD:.4g}"
+        )
 
     bound = _step_bound(params, deltas)
-    t_mod = 2.0 * np.pi / om
     if dt is None:
-        n_per = max(int(np.ceil(t_mod / bound)), 4)
-        dt = t_mod / n_per
+        steps = np.ceil(t_mod / bound)
     else:
-        if dt > bound:
+        if not 0 < dt <= bound:
             raise UnstableStepError(
-                f"dt={dt:g} exceeds the validity bound {bound:g}"
+                f"dt={dt:g} outside (0, {bound:g}], the validity bound"
             )
-        n_per = int(round(t_mod / dt))
-        if abs(n_per * dt - t_mod) > 1e-9 * t_mod:
-            n_per = int(np.ceil(t_mod / dt))
-            dt = t_mod / n_per
+        steps = np.round(t_mod / dt)
+        if abs(steps * dt - t_mod) > 1e-9 * t_mod:
+            steps = np.ceil(t_mod / dt)
+    if not (steps + 1) * len(deltas) <= MAX_TD_SAMPLES:
+        raise OutOfRangeError(
+            f"{steps:.4g} steps per period x {len(deltas)} detunings exceeds "
+            f"the limit of {MAX_TD_SAMPLES} time-domain orbit samples"
+        )
+    n_per = int(steps)
+    dt = t_mod / n_per
 
-    # burn-in to a whole number of periods past 20 decay times
-    t_a = np.ceil((20.0 / gamma) / t_mod) * t_mod if gamma > 0 else t_mod
-    periods = 20
-    t_b = t_a + periods * t_mod
-    if horizon is not None:
-        if horizon < t_b:
-            raise ValueError(
-                f"horizon {horizon:g} shorter than burn-in plus extraction "
-                f"window ({t_b:g})"
-            )
-        t_b = np.floor((horizon - t_a) / t_mod) * t_mod + t_a
-    n_steps = int(round(t_b / dt))
-
-    y = np.zeros(len(deltas), complex)
-    samples = np.empty((n_steps + 1, len(deltas)), complex)
-    samples[0] = y
-
-    def rhs(t, y):
-        return (1j * (deltas - fo * np.cos(om * t)) - gamma) * y - 1j * v
-
-    t = 0.0
-    for k in range(n_steps):
-        k1 = rhs(t, y)
-        k2 = rhs(t + 0.5 * dt, y + 0.5 * dt * k1)
-        k3 = rhs(t + 0.5 * dt, y + 0.5 * dt * k2)
-        k4 = rhs(t + dt, y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t = (k + 1) * dt
-        samples[k + 1] = y
+    t = (np.arange(n_per) * dt)[:, None]
+    b = _rk4_step(params, deltas, t, 0.0, dt)
+    a = _rk4_step(params, deltas, t, 1.0, dt) - b
+    p = np.cumprod(a, axis=0)
+    s = np.cumsum(b / p, axis=0)
+    m = p[-1]
+    y0 = m * s[-1] / (1.0 - m)
+    orbit = np.empty((n_per + 1, len(deltas)), complex)
+    orbit[0] = y0
+    orbit[1:] = p * (y0 + s)
+    orbit[-1] = y0  # close the period exactly; periodicity_defect checks it
 
     omega_0 = params.omega_a + deltas
-    times = np.arange(n_steps + 1) * dt
-    lab = samples * np.exp(-1j * np.outer(times, omega_0))
+    lab = orbit * _carrier(n_per + 1, dt, omega_0)
     if scalar:
         lab = lab[:, 0]
     return TimeDomainTrace(
         dt=dt,
-        horizon=t_b,
         samples=lab,
-        window=(float(t_a), float(t_b)),
-        detuning=deltas if not scalar else deltas[:1],
-        omega_0=omega_0 if not scalar else omega_0[:1],
+        window=(0.0, n_per * dt),
+        detuning=deltas,
+        omega_0=omega_0,
     )
 
 
 def periodicity_defect(trace: TimeDomainTrace, params: EmitterParams) -> float:
-    """Relative mismatch between the last two modulation periods in the
-    extraction window; small values certify the periodic steady state."""
-    om = params.mod_freq
-    t_mod = 2.0 * np.pi / om
-    per = int(round(t_mod / trace.dt))
+    """Largest one-step RK4 residual of the stored orbit, relative to its
+    largest sample.
+
+    Every step k -> k+1 of the period is recomputed directly from the RK4
+    stages, in the frame rotating at omega_0, and compared with the stored
+    sample k+1, and the closing sample must equal the first. This checks
+    the scan algebra (cumulative products, sums and the Floquet start)
+    without sharing it.
+    """
     s = np.atleast_2d(trace.samples.T).T
-    i_b = s.shape[0] - 1
-    a = s[i_b - per : i_b + 1]
-    b = s[i_b - 2 * per : i_b - per + 1]
-    # compare in the frame rotating at omega_0 so the carrier phase drops out
-    times = np.arange(i_b - per, i_b + 1) * trace.dt
-    rot = np.exp(1j * np.outer(times, trace.omega_0))
-    rot_prev = np.exp(1j * np.outer(times - t_mod, trace.omega_0))
-    num = np.max(np.abs(a * rot - b * rot_prev))
-    den = np.max(np.abs(a * rot))
-    return float(num / den) if den > 0 else 0.0
+    z = s / _carrier(s.shape[0], trace.dt, trace.omega_0)
+    t = (np.arange(s.shape[0] - 1) * trace.dt)[:, None]
+    resid = _rk4_step(params, trace.detuning, t, z[:-1], trace.dt) - z[1:]
+    closure = z[-1] - z[0]
+    den = np.max(np.abs(z))
+    if den == 0:
+        return 0.0
+    return float(max(np.max(np.abs(resid)), np.max(np.abs(closure))) / den)
 
 
 def fourier_extract(
@@ -280,6 +315,7 @@ class ValidationReport:
     defect_series: np.ndarray
     defect_hb: np.ndarray
     defect_td: np.ndarray
+    periodicity_defect: float     # one-step RK4 residual of the TD orbit
     tol_series_hb: float
     tol_td: float
 
@@ -296,6 +332,7 @@ class ValidationReport:
         return (
             self.max_dev_series_hb < self.tol_series_hb
             and self.max_dev_series_td < self.tol_td
+            and self.periodicity_defect < PERIODICITY_TOL
         )
 
 
@@ -340,6 +377,7 @@ def cross_validate(
         defect_series=d_series,
         defect_hb=d_hb,
         defect_td=d_td,
+        periodicity_defect=periodicity_defect(trace, params),
         tol_series_hb=tol_series_hb,
         tol_td=tol_td,
     )

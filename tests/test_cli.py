@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import modscatter
 from modscatter.cli import main
 
 
@@ -255,6 +260,42 @@ class TestOracleCommand:
         assert "max_dev_series_hb" in header
         assert "max_dev_series_td" in header
         assert np.all(table["passed"] == 1.0)
+
+    @pytest.mark.parametrize("argv, limit", [
+        (["--cases", "5:0.001", "--delta-range", "-1:1:3"], "600"),
+        (["--cases", "5:2", "--delta-range", "-50:50:300"], "2097152"),
+    ])
+    def test_unbounded_inputs_refused_before_running(
+        self, argv, limit, capsys, monkeypatch
+    ):
+        def never_run(*args, **kwargs):
+            raise AssertionError("refused input reached the scan")
+
+        monkeypatch.setattr(np, "cumprod", never_run)
+        assert main(["oracle", *argv]) == 64
+        err = capsys.readouterr().err
+        assert "error[out-of-range]" in err
+        assert limit in err
+
+    def test_oversized_grid_refused_before_it_is_built(
+        self, capsys, monkeypatch
+    ):
+        def never_build(*args, **kwargs):
+            raise AssertionError("an 8 GB detuning grid was allocated")
+
+        monkeypatch.setattr(np, "linspace", never_build)
+        assert main(["oracle", "--delta-range", "-1:1:1000000000"]) == 64
+        assert "2097152" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy serves only the harmonic-balance solve and is imported there
+    src = str(Path(modscatter.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = "import sys, modscatter.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestTrapCommand:

@@ -1,9 +1,14 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from modscatter import (
     EmitterParams,
     ExcitationSpectrum,
+    OutOfRangeError,
     SingularSystemError,
     TimeDomainTrace,
     UnstableStepError,
@@ -18,6 +23,7 @@ from modscatter import (
     periodicity_defect,
     time_domain_excitation,
 )
+from modscatter import oracles
 
 
 class TestHarmonicBalanceStructure:
@@ -110,13 +116,8 @@ class TestTimeDomain:
         p = normalized_params(0.0, 2.0)
         delta = 1.3
         trace = time_domain_excitation(p, delta)
-        times = np.arange(trace.samples.shape[0]) * trace.dt
-        rotating = trace.samples * np.exp(1j * trace.omega_0[0] * times)
         target = 1.0 / (delta + 1j)
-        assert rotating[-1] == pytest.approx(target, abs=1e-8)
-        tail = np.abs(rotating - target)
-        envelope = abs(target) * np.exp(-times) * 1.05 + 1e-9
-        assert np.all(tail <= envelope)
+        assert np.max(np.abs(rotating_orbit(trace) - target)) < 1e-12
 
     def test_batched_detunings_match_scalar_runs(self, params_reference):
         batch = time_domain_excitation(params_reference, np.array([-1.0, 2.0]))
@@ -127,19 +128,154 @@ class TestTimeDomain:
 
     def test_reaches_periodic_steady_state(self, params_reference):
         trace = time_domain_excitation(params_reference, 0.7)
-        assert periodicity_defect(trace, params_reference) < 1e-6
+        assert trace.window == (0.0, pytest.approx(np.pi, rel=1e-15))
+        assert periodicity_defect(trace, params_reference) < 1e-12
+
+    @pytest.mark.parametrize("where", [0, 400, -1])
+    def test_defect_sees_a_perturbed_sample(self, params_reference, where):
+        trace = time_domain_excitation(params_reference, np.array([-1.0, 0.7]))
+        samples = trace.samples.copy()
+        samples[where, 1] += 1e-8
+        bad = dataclasses.replace(trace, samples=samples)
+        assert periodicity_defect(bad, params_reference) > 1e-9
 
     def test_oversized_user_step_is_rejected(self, params_reference):
         with pytest.raises(UnstableStepError):
             time_domain_excitation(params_reference, 0.0, dt=1.0)
 
-    def test_short_horizon_is_rejected(self, params_reference):
-        with pytest.raises(ValueError):
-            time_domain_excitation(params_reference, 0.0, horizon=5.0)
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, float("nan")])
+    def test_non_positive_user_step_is_rejected(self, params_reference, dt):
+        with pytest.raises(UnstableStepError):
+            time_domain_excitation(params_reference, 0.0, dt=dt)
 
     def test_requires_running_modulation(self, params_static_amp):
         with pytest.raises(ValueError):
             time_domain_excitation(params_static_amp, 0.0)
+
+
+def rk4_loop(params, delta, dt, n_steps, y):
+    """Plain RK4 stepping of the rotating-frame equation, one step at a
+    time, from y at t = 0; returns all n_steps + 1 iterates."""
+    fo = params.mod_amp * params.omega_a
+    om, gamma, v = params.mod_freq, params.gamma, params.coupling
+
+    def rhs(t, z):
+        return (1j * (delta - fo * math.cos(om * t)) - gamma) * z - 1j * v
+
+    ys = [y]
+    for k in range(n_steps):
+        t = k * dt
+        k1 = rhs(t, y)
+        k2 = rhs(t + 0.5 * dt, y + 0.5 * dt * k1)
+        k3 = rhs(t + 0.5 * dt, y + 0.5 * dt * k2)
+        k4 = rhs(t + dt, y + dt * k3)
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        ys.append(y)
+    return np.array(ys)
+
+
+def rotating_orbit(trace):
+    times = np.arange(trace.samples.shape[0]) * trace.dt
+    return trace.samples * np.exp(1j * trace.omega_0[0] * times)
+
+
+def burn_in_reference(params, delta, dt):
+    """The transient route: RK4 from e(0) = 0 through a burn-in of 20 decay
+    times (whole periods), then 20 periods projected by fourier_extract."""
+    t_mod = 2.0 * np.pi / params.mod_freq
+    t_a = np.ceil((20.0 / params.gamma) / t_mod) * t_mod
+    t_b = t_a + 20 * t_mod
+    n_steps = int(round(t_b / dt))
+    omega_0 = params.omega_a + delta
+    times = np.arange(n_steps + 1) * dt
+    samples = rk4_loop(params, delta, dt, n_steps, 0j)
+    trace = TimeDomainTrace(
+        dt=dt,
+        samples=samples * np.exp(-1j * omega_0 * times),
+        window=(t_a, t_b),
+        detuning=np.array([delta]),
+        omega_0=np.array([omega_0]),
+    )
+    return fourier_extract(trace, None, params.mod_freq, 12).coeffs
+
+
+class TestFloquetShooting:
+    @pytest.mark.parametrize("amp, freq", [(5.0, 2.0), (5.0, 8.0)])
+    def test_matches_the_burn_in_transient(self, amp, freq):
+        p = normalized_params(amp, freq)
+        deltas = np.array([-6.0, 0.7, 3.0])
+        trace = time_domain_excitation(p, deltas)
+        scan = fourier_extract(trace, None, p.mod_freq, 12).coeffs
+        for j, d in enumerate(deltas):
+            ref = burn_in_reference(p, d, trace.dt)
+            assert np.max(np.abs(scan[:, j] - ref)) < 1e-9, d
+
+    @settings(max_examples=25, deadline=None, derandomize=True,
+              database=None)
+    @given(
+        amp=st.floats(min_value=0.0, max_value=10.0),
+        freq=st.floats(min_value=0.1, max_value=20.0),
+        delta=st.floats(min_value=-10.0, max_value=10.0),
+    )
+    def test_scan_equals_stepping_from_its_start(self, amp, freq, delta):
+        p = normalized_params(amp, freq)
+        trace = time_domain_excitation(p, delta)
+        scan = rotating_orbit(trace)
+        loop = rk4_loop(p, delta, trace.dt, len(scan) - 1, scan[0])
+        assert np.max(np.abs(loop - scan)) <= 1e-12 * np.max(np.abs(scan))
+
+    def test_report_carries_the_defect(self, params_reference, monkeypatch):
+        deltas = np.array([0.0, 1.0])
+        report = cross_validate(params_reference, deltas)
+        assert report.periodicity_defect < 1e-12
+        assert report.passed
+        monkeypatch.setattr(oracles, "periodicity_defect",
+                            lambda trace, params: 1e-8)
+        assert not cross_validate(params_reference, deltas).passed
+
+
+@pytest.fixture
+def no_scan(monkeypatch):
+    # refused inputs must stop before the scan allocates anything
+    def fail(*args, **kwargs):
+        raise AssertionError("refused input reached the scan")
+
+    monkeypatch.setattr(np, "cumprod", fail)
+
+
+class TestTimeDomainLimits:
+    @pytest.mark.usefixtures("no_scan")
+    def test_slow_modulation_is_refused(self):
+        with pytest.raises(OutOfRangeError, match="600"):
+            time_domain_excitation(normalized_params(5.0, 0.001), 0.0)
+
+    @pytest.mark.usefixtures("no_scan")
+    def test_oversized_orbit_is_refused(self, params_reference):
+        deltas = np.linspace(-50.0, 50.0, 300)
+        with pytest.raises(OutOfRangeError, match=str(2**21)):
+            time_domain_excitation(params_reference, deltas)
+
+    @pytest.mark.usefixtures("no_scan")
+    def test_tiny_user_step_is_refused(self, params_reference):
+        with pytest.raises(OutOfRangeError, match=str(2**21)):
+            time_domain_excitation(params_reference, 0.0, dt=1e-9)
+
+    @pytest.mark.parametrize("deltas, samples", [
+        (np.linspace(-10.0, 10.0, 21), 33_012),
+        (np.linspace(-50.0, 50.0, 21), 164_955),
+    ])
+    def test_standard_grids_stay_accepted(self, deltas, samples):
+        trace = time_domain_excitation(normalized_params(5.0, 2.0), deltas)
+        assert trace.samples.size == samples
+
+    def test_slowest_accepted_modulation_keeps_the_scan_exact(self):
+        # gamma*T_mod = 599: 1/P reaches about exp(599) within the period
+        p = normalized_params(2.0, 2.0 * np.pi / 599.0)
+        trace = time_domain_excitation(p, 0.5)
+        scan = rotating_orbit(trace)
+        loop = rk4_loop(p, 0.5, trace.dt, len(scan) - 1, scan[0])
+        assert np.max(np.abs(loop - scan)) <= 1e-12 * np.max(np.abs(scan))
+        assert periodicity_defect(trace, p) < 1e-12
 
 
 def synthetic_trace(coeff_map, omega_0=40.0, omega=2.0, periods=6, per=256):
@@ -152,7 +288,6 @@ def synthetic_trace(coeff_map, omega_0=40.0, omega=2.0, periods=6, per=256):
         samples += c * np.exp(-1j * (omega_0 + n * omega) * times)
     return TimeDomainTrace(
         dt=dt,
-        horizon=times[-1],
         samples=samples,
         window=(0.0, times[-1]),
         detuning=np.array([0.0]),
