@@ -40,12 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CflViolationError,
-    InvariantError,
-    OutOfRangeError,
-    ResolutionError,
-)
+from .errors import InvariantError, OutOfRangeError, ResolutionError
 
 SQ2 = math.sqrt(2.0)
 # largest grid a protocol may ask for: 50x the default. At the cap a release
@@ -82,7 +77,6 @@ class PacketSpec:
     bandwidth: float
     launch_center: float
     center_freq: float = 0.0
-    direction: str = "right"
 
     def sigma_x(self, group_velocity: float = 1.0) -> float:
         return group_velocity / (2.0 * self.bandwidth)
@@ -311,18 +305,15 @@ def norm(state: GridState) -> float:
     )
 
 
-def init_grid(
-    domain_length: float,
-    dx: float,
-    packet: PacketSpec,
-    protocol: TrapProtocol,
-) -> GridState:
-    """Build the initial state: normalized Gaussian packet in the right mover.
+def init_grid(protocol: TrapProtocol) -> GridState:
+    """Build the initial state: normalized Gaussian packet in the right mover,
+    on protocol.n_cells cells of dx = domain_length / n_cells.
 
     Refuses when the grid cannot resolve the envelope (< 20 cells per
     sigma_x) or a site falls off the grid.
     """
-    n_cells = int(round(domain_length / dx))
+    packet, n_cells = protocol.packet, protocol.n_cells
+    dx = protocol.domain_length / n_cells
     sx = packet.sigma_x(protocol.group_velocity)
     if sx / dx < 20.0:
         raise ResolutionError(
@@ -379,17 +370,12 @@ def _couple_site(
     L[jl] = (p2 - d) * ep / (SQ2 * sqdx)
 
 
-def step(state: GridState, protocol: TrapProtocol, dt: float) -> GridState:
-    """Advance one step in place (and return the state for chaining).
-
-    dt must equal dx / v_g: the advection is then an exact one-cell shift,
-    done by moving each mover's window start (see GridState).
+def step(state: GridState, protocol: TrapProtocol) -> GridState:
+    """Advance one step of dt = dx / v_g in place (and return the state for
+    chaining): the advection is then an exact one-cell shift, done by moving
+    each mover's window start (see GridState).
     """
-    dx_over_vg = state.dx / protocol.group_velocity
-    if abs(dt - dx_over_vg) > 1e-12 * dx_over_vg:
-        raise CflViolationError(
-            f"dt={dt!r} but exact advection requires dx/v_g={dx_over_vg!r}"
-        )
+    dt = state.dx / protocol.group_velocity
     state._advect()
     # local coupling, modulation sampled at the step midpoint
     offsets = protocol.site_frequency_offsets(state.time + 0.5 * dt)
@@ -428,9 +414,8 @@ def _run_grid(protocol: TrapProtocol):
     state, the time and p_cav series, the largest norm drift, and the
     transmitted tally at the right mirror's switch-on (None without one).
     """
-    dx = protocol.domain_length / protocol.n_cells
-    dt = dx / protocol.group_velocity
-    state = init_grid(protocol.domain_length, dx, protocol.packet, protocol)
+    state = init_grid(protocol)
+    dt = state.dx / protocol.group_velocity
     n_steps = int(round(protocol.horizon / dt))
     times = np.empty(n_steps)
     p_cav = np.empty(n_steps)
@@ -441,7 +426,7 @@ def _run_grid(protocol: TrapProtocol):
         t_rel = protocol.right_schedule.switch_on
         trans_at_release = 0.0
     for k in range(n_steps):
-        step(state, protocol, dt)
+        step(state, protocol)
         times[k] = state.time
         p_cav[k] = state.p_cav
         if t_rel is not None and state.time <= t_rel:

@@ -14,6 +14,11 @@ import io
 import json
 from typing import Iterable, Mapping
 
+from .errors import OutOfRangeError
+
+# points in one range: 250x the 401-point figure presets
+MAX_POINTS = 100_000
+
 
 def format_float(x: float, precision: int = 12) -> str:
     return f"{x:.{precision}e}"
@@ -74,6 +79,10 @@ def parse_range(text: str) -> tuple[float, float, int]:
     points = int(parts[2])
     if points < 2:
         raise ValueError("range needs at least 2 points")
+    if points > MAX_POINTS:
+        raise OutOfRangeError(
+            f"range of {points} points exceeds the limit of {MAX_POINTS}"
+        )
     return start, stop, points
 
 

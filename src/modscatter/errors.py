@@ -48,24 +48,6 @@ class SingularSystemError(ScatterError):
     code = "singular-system"
 
 
-class UnstableStepError(ScatterError):
-    """Time step violates the fixed-step validity bound."""
-
-    code = "unstable-step"
-
-
-class BadWindowError(ScatterError):
-    """Extraction window is not an integer number of modulation periods."""
-
-    code = "bad-window"
-
-
-class CflViolationError(ScatterError):
-    """Grid step was called with dt != dx / v_g."""
-
-    code = "cfl-violation"
-
-
 class ResolutionError(ScatterError):
     """Grid too coarse to resolve the packet envelope."""
 

@@ -8,8 +8,9 @@ eliminated, leaving the linewidth gamma and the plane-wave drive):
 * harmonic balance: expand e(t) = sum_n e_n exp(-i omega_n t); the harmonics
   couple into a tridiagonal linear system solved directly;
 * time domain: step the equation with classical 4th-order Runge-Kutta over
-  one modulation period, started on its periodic orbit (Floquet shooting),
-  then project the Fourier coefficients off that period.
+  one modulation period in the frame rotating at omega_0, started on its
+  periodic orbit (Floquet shooting), then take the Fourier coefficients of
+  that period as its DFT.
 
 Amplitudes follow from either excitation spectrum through the exact relation
 r_n = V e_n / (i v_g), giving an end-to-end cross-check of the closed-form
@@ -22,12 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BadWindowError,
-    OutOfRangeError,
-    SingularSystemError,
-    UnstableStepError,
-)
+from .errors import OutOfRangeError, SingularSystemError
 from .params import EmitterParams, ScatteringQuery, TruncationSpec
 from .scattering import ExcitationSpectrum, SidebandSet, _assemble, evaluate_sidebands
 
@@ -110,14 +106,13 @@ def harmonic_balance_solve(
 
 @dataclass(frozen=True)
 class TimeDomainTrace:
-    """One modulation period of the periodic orbit e(t_k), k = 0..n_per,
-    in the lab frame, plus its extraction window (0, T_mod)."""
+    """One modulation period of the periodic orbit in the frame rotating at
+    omega_0 = omega_a + Delta: samples[k] = e(k dt) exp(+i omega_0 k dt),
+    k = 0..n_per, with n_per dt = T_mod and samples[n_per] == samples[0]."""
 
     dt: float
     samples: np.ndarray       # shape (n_per+1,) or (n_per+1, n_detunings)
-    window: tuple[float, float]
     detuning: np.ndarray
-    omega_0: np.ndarray
 
 
 def _step_bound(params: EmitterParams, detunings: np.ndarray) -> float:
@@ -127,7 +122,7 @@ def _step_bound(params: EmitterParams, detunings: np.ndarray) -> float:
         params.mod_freq,
         params.mod_amp * params.omega_a,
     )
-    return 1.0 / (50.0 * scale) if scale > 0 else np.inf
+    return 1.0 / (50.0 * scale)
 
 
 def _rk4_step(params: EmitterParams, deltas: np.ndarray, t, y, dt: float):
@@ -147,18 +142,9 @@ def _rk4_step(params: EmitterParams, deltas: np.ndarray, t, y, dt: float):
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _carrier(n_samples: int, dt: float, omega_0: np.ndarray) -> np.ndarray:
-    """exp(-i omega_0 t_k): the lab-frame factor of the stored samples."""
-    return np.exp(-1j * np.outer(np.arange(n_samples) * dt, omega_0))
-
-
-def time_domain_excitation(
-    params: EmitterParams,
-    detuning,
-    dt: float | None = None,
-) -> TimeDomainTrace:
+def time_domain_excitation(params: EmitterParams, detuning) -> TimeDomainTrace:
     """RK4 orbit of the reduced equation over one period of its periodic
-    steady state.
+    steady state, in the frame rotating at omega_0.
 
     The equation is linear, so each RK4 step is exactly an affine map
     y -> A_k y + B_k. With P = cumprod(A) and S = cumsum(B/P) the orbit is
@@ -169,16 +155,15 @@ def time_domain_excitation(
     to round-off.
 
     detuning may be a scalar or an array; an array runs every column in the
-    same vectorised scan. The carrier exp(-i omega_0 t) is factored out
-    analytically and restored on the stored samples, so the step-size bound
-    involves only gamma, |Delta|, omega and f*Omega, not omega_0.
+    same vectorised scan. The step dt = T_mod / n_per is the largest whole
+    fraction of T_mod not above 1/(50 max(gamma, |Delta|, omega, f*Omega));
+    the carrier omega_0 never enters it.
 
     Refuses with OutOfRangeError, before allocating anything, when
     gamma*T_mod exceeds MAX_DECAY_PER_PERIOD (1/P would overflow) or when
     the orbit would hold more than MAX_TD_SAMPLES samples.
     """
     deltas = np.atleast_1d(np.asarray(detuning, float))
-    scalar = np.ndim(detuning) == 0
     om = params.mod_freq
     if om <= 0:
         raise ValueError("time-domain oracle requires mod_freq > 0")
@@ -189,18 +174,7 @@ def time_domain_excitation(
             f"{MAX_DECAY_PER_PERIOD:g} of the one-period scan; mod_freq must "
             f"be >= {2.0 * np.pi * params.gamma / MAX_DECAY_PER_PERIOD:.4g}"
         )
-
-    bound = _step_bound(params, deltas)
-    if dt is None:
-        steps = np.ceil(t_mod / bound)
-    else:
-        if not 0 < dt <= bound:
-            raise UnstableStepError(
-                f"dt={dt:g} outside (0, {bound:g}], the validity bound"
-            )
-        steps = np.round(t_mod / dt)
-        if abs(steps * dt - t_mod) > 1e-9 * t_mod:
-            steps = np.ceil(t_mod / dt)
+    steps = np.ceil(t_mod / _step_bound(params, deltas))
     if not (steps + 1) * len(deltas) <= MAX_TD_SAMPLES:
         raise OutOfRangeError(
             f"{steps:.4g} steps per period x {len(deltas)} detunings exceeds "
@@ -220,18 +194,9 @@ def time_domain_excitation(
     orbit[0] = y0
     orbit[1:] = p * (y0 + s)
     orbit[-1] = y0  # close the period exactly; periodicity_defect checks it
-
-    omega_0 = params.omega_a + deltas
-    lab = orbit * _carrier(n_per + 1, dt, omega_0)
-    if scalar:
-        lab = lab[:, 0]
-    return TimeDomainTrace(
-        dt=dt,
-        samples=lab,
-        window=(0.0, n_per * dt),
-        detuning=deltas,
-        omega_0=omega_0,
-    )
+    if np.ndim(detuning) == 0:
+        orbit = orbit[:, 0]
+    return TimeDomainTrace(dt=dt, samples=orbit, detuning=deltas)
 
 
 def periodicity_defect(trace: TimeDomainTrace, params: EmitterParams) -> float:
@@ -239,14 +204,12 @@ def periodicity_defect(trace: TimeDomainTrace, params: EmitterParams) -> float:
     largest sample.
 
     Every step k -> k+1 of the period is recomputed directly from the RK4
-    stages, in the frame rotating at omega_0, and compared with the stored
-    sample k+1, and the closing sample must equal the first. This checks
-    the scan algebra (cumulative products, sums and the Floquet start)
-    without sharing it.
+    stages and compared with the stored sample k+1, and the closing sample
+    must equal the first. This checks the scan algebra (cumulative
+    products, sums and the Floquet start) without sharing it.
     """
-    s = np.atleast_2d(trace.samples.T).T
-    z = s / _carrier(s.shape[0], trace.dt, trace.omega_0)
-    t = (np.arange(s.shape[0] - 1) * trace.dt)[:, None]
+    z = np.atleast_2d(trace.samples.T).T
+    t = (np.arange(z.shape[0] - 1) * trace.dt)[:, None]
     resid = _rk4_step(params, trace.detuning, t, z[:-1], trace.dt) - z[1:]
     closure = z[-1] - z[0]
     den = np.max(np.abs(z))
@@ -255,43 +218,22 @@ def periodicity_defect(trace: TimeDomainTrace, params: EmitterParams) -> float:
     return float(max(np.max(np.abs(resid)), np.max(np.abs(closure))) / den)
 
 
-def fourier_extract(
-    trace: TimeDomainTrace, omega_0, omega: float, n_max: int
-) -> ExcitationSpectrum:
-    """Project e_n = (1/T_w) int e(t) exp(+i omega_n t) dt over the window.
+def fourier_extract(trace: TimeDomainTrace, n_max: int) -> ExcitationSpectrum:
+    """e_n = (1/T_mod) int_0^T_mod y(t) exp(+i n omega t) dt for |n| <= n_max.
 
-    The window must hold an integer number of modulation periods, otherwise
-    the harmonics are not orthogonal and the call refuses. omega_0 may be a
-    scalar, an array matching the trace's detuning batch, or None to take it
-    from the trace; the carrier factor exp(+i omega_0 t) splits off the
-    harmonic factor exactly, so it is applied once per column.
+    In the rotating frame y(t) = sum_n e_n exp(-i n omega t), and on one
+    closed period of a periodic integrand the trapezoid rule is exactly the
+    DFT (Trefethen & Weideman, SIAM Rev. 56, 385 (2014)), so all harmonics
+    come from one inverse FFT of the period. Refuses with ValueError when
+    the period holds fewer than 2*n_max + 1 samples, where harmonics alias.
     """
-    t_a, t_b = trace.window
-    t_mod = 2.0 * np.pi / omega
-    n_per = (t_b - t_a) / t_mod
-    if abs(n_per - round(n_per)) > 1e-6:
-        raise BadWindowError(
-            f"window of {n_per:.6f} modulation periods is not commensurate"
+    n_per = trace.samples.shape[0] - 1
+    if 2 * n_max + 1 > n_per:
+        raise ValueError(
+            f"{2 * n_max + 1} harmonics alias on {n_per} samples per period"
         )
-    if omega_0 is None:
-        omega_0 = trace.omega_0
-    omega_0 = np.atleast_1d(np.asarray(omega_0, float))
-    i_a = int(round(t_a / trace.dt))
-    i_b = int(round(t_b / trace.dt))
-    times = np.arange(i_a, i_b + 1) * trace.dt
-    seg = trace.samples[i_a : i_b + 1]
-    single = seg.ndim == 1
-    if single:
-        seg = seg[:, None]
-    derot = seg * np.exp(1j * np.outer(times, omega_0))
     ns = np.arange(-n_max, n_max + 1)
-    coeffs = np.empty((len(ns), seg.shape[1]), complex)
-    for i, n in enumerate(ns):
-        phase = np.exp(1j * n * omega * times)
-        coeffs[i] = np.trapezoid(derot * phase[:, None], dx=trace.dt, axis=0)
-    coeffs /= t_b - t_a
-    if single:
-        coeffs = coeffs[:, 0]
+    coeffs = np.fft.ifft(trace.samples[:-1], axis=0)[ns % n_per]
     return ExcitationSpectrum(ns=ns, coeffs=coeffs)
 
 
@@ -350,7 +292,7 @@ def cross_validate(
     deltas = np.atleast_1d(np.asarray(detuning, float))
     n_td = 12 if params.mod_amp > 0 else 4
     trace = time_domain_excitation(params, deltas)
-    td_spec = fourier_extract(trace, None, params.mod_freq, n_td)
+    td_spec = fourier_extract(trace, n_td)
     dev_hb = np.empty(len(deltas))
     dev_td = np.empty(len(deltas))
     d_series = np.empty(len(deltas))

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TruncationError
+from .dataio import MAX_POINTS
+from .errors import OutOfRangeError, TruncationError
 from .params import EmitterParams, normalized_params
 from .oracles import amplitudes_from_excitation, harmonic_balance_solve
 from .scattering import SidebandSet, evaluate_sidebands
@@ -46,6 +47,10 @@ class SweepSpec:
             raise ValueError(f"method must be one of {METHODS}")
         if self.points < 2:
             raise ValueError("points must be >= 2")
+        if self.points > MAX_POINTS:
+            raise OutOfRangeError(
+                f"sweep of {self.points} points exceeds the limit of {MAX_POINTS}"
+            )
         if not (np.isfinite(self.start) and np.isfinite(self.stop)):
             raise ValueError("range must be finite")
 

@@ -1,10 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from modscatter import (
-    CflViolationError,
     EmitterSite,
     InvariantError,
     ModulationSchedule,
@@ -118,22 +118,20 @@ class TestProtocolGeometry:
 class TestGridBasics:
     def test_initial_norm_is_one(self):
         proto = ballistic_protocol()
-        dx = proto.domain_length / proto.n_cells
-        state = init_grid(proto.domain_length, dx, proto.packet, proto)
+        state = init_grid(proto)
         assert norm(state) == pytest.approx(1.0, abs=1e-12)
 
     def test_packet_tails_clear_the_edges(self):
         proto = ballistic_protocol()
         dx = proto.domain_length / proto.n_cells
-        state = init_grid(proto.domain_length, dx, proto.packet, proto)
+        state = init_grid(proto)
         assert abs(state.phi_R[0]) ** 2 * dx < 1e-9
         assert abs(state.phi_R[-1]) ** 2 * dx < 1e-9
 
     def test_underresolved_packet_refused(self):
-        proto = ballistic_protocol()
+        proto = dataclasses.replace(ballistic_protocol(), n_cells=40)
         with pytest.raises(ResolutionError):
-            init_grid(proto.domain_length, proto.domain_length / 40,
-                      proto.packet, proto)
+            init_grid(proto)
 
     def test_off_grid_site_refused(self):
         sx = 10.0
@@ -145,27 +143,18 @@ class TestGridBasics:
             right_schedule=None,
             domain_length=30.0 * sx,
         )
-        dx = proto.domain_length / proto.n_cells
         with pytest.raises(ResolutionError):
-            init_grid(proto.domain_length, dx, proto.packet, proto)
-
-    def test_wrong_step_size_refused(self):
-        proto = ballistic_protocol()
-        dx = proto.domain_length / proto.n_cells
-        state = init_grid(proto.domain_length, dx, proto.packet, proto)
-        with pytest.raises(CflViolationError):
-            step(state, proto, 1.7 * dx)
+            init_grid(proto)
 
 
 class TestBallisticTransport:
     def test_advection_is_an_exact_shift(self):
         proto = ballistic_protocol()
-        dx = proto.domain_length / proto.n_cells
-        state = init_grid(proto.domain_length, dx, proto.packet, proto)
+        state = init_grid(proto)
         original = state.phi_R.copy()
         m = 137
         for _ in range(m):
-            step(state, proto, dx)
+            step(state, proto)
         np.testing.assert_array_equal(state.phi_R[m:], original[:-m])
         assert np.all(state.phi_R[:m] == 0.0)
         assert np.all(state.phi_L == 0.0)
@@ -174,7 +163,7 @@ class TestBallisticTransport:
     def test_moving_frame_matches_roll_reference_across_wraps(self):
         proto = ballistic_protocol()
         dx = proto.domain_length / proto.n_cells
-        state = init_grid(proto.domain_length, dx, proto.packet, proto)
+        state = init_grid(proto)
         n = state.n_cells
         m_lo, m_hi = state.positions
         cav = slice(m_lo, m_hi + 1)
@@ -197,7 +186,7 @@ class TestBallisticTransport:
             ref_R[0] = 0.0
             ref_L = np.roll(ref_L, -1)
             ref_L[-1] = 0.0
-            step(state, proto, dx)
+            step(state, proto)
             np.testing.assert_array_equal(state.phi_R, ref_R)
             np.testing.assert_array_equal(state.phi_L, ref_L)
             # both movers cross both cavity edges: all four fluxes count
@@ -209,10 +198,9 @@ class TestBallisticTransport:
 
     def test_full_transit_exits_with_unit_tally(self):
         proto = ballistic_protocol()
-        dx = proto.domain_length / proto.n_cells
-        state = init_grid(proto.domain_length, dx, proto.packet, proto)
+        state = init_grid(proto)
         for _ in range(proto.n_cells):
-            step(state, proto, dx)
+            step(state, proto)
         assert state.transmitted_out == pytest.approx(1.0, abs=1e-10)
         assert state.reflected_out == 0.0
         assert norm(state) == pytest.approx(1.0, abs=1e-12)
@@ -230,15 +218,14 @@ class TestLocalUnitarity:
             domain_length=24.0 * sx,
             n_cells=2000,
         )
-        dx = proto.domain_length / proto.n_cells
-        state = init_grid(proto.domain_length, dx, proto.packet, proto)
+        state = init_grid(proto)
         rng = np.random.default_rng(7)
         noise = rng.standard_normal(state.n_cells) * 0.05
         state.phi_L = (noise + 1j * noise[::-1]).astype(complex)
         state.e_site = np.array([0.3 - 0.2j, 0.1j])
         before = norm(state)
         for _ in range(50):
-            step(state, proto, dx)
+            step(state, proto)
         assert norm(state) == pytest.approx(before, abs=1e-13)
 
 
@@ -317,12 +304,12 @@ class TestCavityTally:
     def test_flux_tally_matches_direct_sum_every_step(self, short_release):
         proto, report = short_release
         dx = proto.domain_length / proto.n_cells
-        state = init_grid(proto.domain_length, dx, proto.packet, proto)
+        state = init_grid(proto)
         m_lo, m_hi = state.positions
         cav = slice(m_lo, m_hi + 1)
         direct = np.empty(len(report.times))
         for k in range(len(direct)):
-            step(state, proto, dx)
+            step(state, proto)
             direct[k] = (
                 np.sum(np.abs(state.phi_R[cav]) ** 2)
                 + np.sum(np.abs(state.phi_L[cav]) ** 2)
@@ -346,8 +333,8 @@ class TestCavityTally:
         # a leak the flux tally cannot see: the recount must catch it
         real_step = step
 
-        def leaky_step(state, protocol, dt):
-            real_step(state, protocol, dt)
+        def leaky_step(state, protocol):
+            real_step(state, protocol)
             m = int(state.positions[0]) + 5
             state.phi_R[m] *= 0.5
             return state

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import modscatter
+from modscatter import cli
 from modscatter.cli import main
 
 
@@ -182,6 +183,48 @@ class TestPrecisionLimit:
         assert "[0, 16]" in err
 
 
+class TestPointLimit:
+    """Every range holds at most 100000 points, refused before it is built."""
+
+    @pytest.fixture(autouse=True)
+    def no_grid(self, monkeypatch):
+        def never_build(*args, **kwargs):
+            raise AssertionError("a refused range was built")
+
+        monkeypatch.setattr(np, "linspace", never_build)
+
+    @pytest.mark.parametrize("command", ["spectrum", "sidebands"])
+    def test_flag_refused(self, command, capsys):
+        argv = [command, "--axis", "detuning", "--range", "-1:1:100001"]
+        assert main(argv) == 64
+        err = capsys.readouterr().err
+        assert "error[out-of-range]" in err
+        assert "100000" in err
+
+    def test_config_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[sweep]\naxis = detuning\nrange = -1:1:10000000\n")
+        assert main(["spectrum", "--config", str(cfg)]) == 64
+        err = capsys.readouterr().err
+        assert "error[out-of-range]" in err
+        assert "100000" in err
+
+
+def test_error_codes_map_one_to_one_onto_exit_classes():
+    """Each error type's code is either a quality or a usage failure, and
+    every listed code belongs to an existing error type."""
+
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    codes = {cls.code for cls in subclasses(modscatter.ScatterError)}
+    for code in codes:
+        assert (code in cli._QUALITY_CODES) != (code in cli._USAGE_CODES), code
+    assert cli._QUALITY_CODES | cli._USAGE_CODES == codes
+
+
 class TestConfigFile:
     def test_dump_config_round_trips(self, tmp_path, capsys):
         argv = ["spectrum", "--axis", "detuning", "--range", "-1:1:3",
@@ -285,7 +328,7 @@ class TestOracleCommand:
 
         monkeypatch.setattr(np, "linspace", never_build)
         assert main(["oracle", "--delta-range", "-1:1:1000000000"]) == 64
-        assert "2097152" in capsys.readouterr().err
+        assert "100000" in capsys.readouterr().err
 
 
 def test_cli_import_leaves_scipy_unloaded():
@@ -345,6 +388,25 @@ class TestTrapCommand:
         err = capsys.readouterr().err
         assert "error[out-of-range]" in err
         assert ("[1, 1000000]" if flag == "--cells" else "> 0") in err
+
+
+    @pytest.mark.parametrize("stride", ["0", "-3"])
+    def test_series_stride_below_one_refused(self, stride, tmp_path, capsys,
+                                             monkeypatch):
+        def never_run(protocol):
+            raise AssertionError("refused stride reached the grid")
+
+        monkeypatch.setattr("modscatter.cli.run_protocol", never_run)
+        series = str(tmp_path / "series.csv")
+        assert main(["trap", "--series-out", series,
+                     "--series-stride", stride]) == 64
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[trap]\nseries_stride = {stride}\n")
+        assert main(["trap", "--series-out", series,
+                     "--config", str(cfg)]) == 64
+        err = capsys.readouterr().err
+        assert err.count("error[out-of-range]") == 2
+        assert ">= 1" in err
 
 
 class TestVersionFlag:

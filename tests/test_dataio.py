@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from modscatter import OutOfRangeError
 from modscatter.dataio import (
+    MAX_POINTS,
     dump_config,
     format_float,
     load_config,
@@ -71,6 +73,11 @@ class TestParseRange:
     def test_rejects_single_point(self):
         with pytest.raises(ValueError):
             parse_range("0:1:1")
+
+    def test_point_cap(self):
+        assert parse_range(f"0:1:{MAX_POINTS}")[2] == 100_000
+        with pytest.raises(OutOfRangeError, match="100000"):
+            parse_range(f"0:1:{MAX_POINTS + 1}")
 
 
 class TestConfigRoundTrip:

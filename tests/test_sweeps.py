@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from modscatter import (
+    OutOfRangeError,
     SweepSpec,
     evaluate_sidebands,
     figure_presets,
@@ -27,6 +28,10 @@ class TestSweepSpec:
     def test_points_validation(self):
         with pytest.raises(ValueError):
             SweepSpec(axis="detuning", start=0.0, stop=1.0, points=1)
+
+    def test_point_cap(self):
+        with pytest.raises(OutOfRangeError, match="100000"):
+            SweepSpec(axis="detuning", start=0.0, stop=1.0, points=100_001)
 
     def test_axis_values_are_uniform(self):
         spec = SweepSpec(axis="detuning", start=-1.0, stop=1.0, points=5)
