@@ -15,7 +15,6 @@ from modscatter.cli import main
 
 HERE = pathlib.Path(__file__).parent
 
-
 def build():
     for preset in ("fig3a", "fig3b"):
         out = HERE / f"{preset}_golden.csv"
@@ -23,6 +22,15 @@ def build():
         if code != 0:
             raise SystemExit(f"{preset} generation failed with exit {code}")
         print(f"wrote {out}")
+    metrics = HERE / "trap_release_golden.csv"
+    series = HERE / "trap_release_series_golden.csv"
+    # a short trap-and-release run, with the p_cav series every 100 steps
+    code = main(["trap", "--release", "--cells", "1500", "--bandwidth", "0.1",
+                 "--out", str(metrics), "--series-out", str(series),
+                 "--series-stride", "100"])
+    if code != 0:
+        raise SystemExit(f"trap release generation failed with exit {code}")
+    print(f"wrote {metrics}\nwrote {series}")
 
 
 if __name__ == "__main__":

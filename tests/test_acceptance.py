@@ -283,6 +283,20 @@ class TestTrapProtocol:
             FROZEN_ETA_G40, abs=1e-4
         )
 
+    def test_short_release_matches_the_golden_files(self, tmp_path):
+        metrics = tmp_path / "trap.csv"
+        series = tmp_path / "series.csv"
+        assert main(["trap", "--release", "--cells", "1500",
+                     "--bandwidth", "0.1", "--out", str(metrics),
+                     "--series-out", str(series),
+                     "--series-stride", "100"]) == 0
+        assert metrics.read_bytes() == (
+            DATA / "trap_release_golden.csv"
+        ).read_bytes()
+        assert series.read_bytes() == (
+            DATA / "trap_release_series_golden.csv"
+        ).read_bytes()
+
 
 class TestCliDeterminism:
     def test_repeated_invocations_are_byte_identical(self, tmp_path):
