@@ -1,11 +1,12 @@
 """Space-time simulation of a packet scattering on one or two emitters.
 
 The waveguide is a uniform grid of right- and left-moving envelope amplitudes
-(carrier frequency removed; it enters only through per-site phases). One time
-step is a split-step update with no stability limit and no numerical
-dispersion:
+in the frame of the carrier, which is resonant with the static emitters.
+Units are gamma-normalized with group velocity v_g = 1, so lengths and times
+share one unit. One time step is a split-step update with no stability limit
+and no numerical dispersion:
 
-* advection: with dt = dx/v_g each mover shifts exactly one cell, so the
+* advection: with dt = dx each mover shifts exactly one cell, so the
   field between the emitters is a pure delay line. The shift is a moving
   frame: each mover sits in a fixed buffer of 2*n_cells cells, a step moves
   the live window's start index by one and zeroes the one cell that enters,
@@ -17,10 +18,11 @@ dispersion:
   on each emitter cell with its emitter; it is updated from those fluxes and
   recounted from scratch every 2000 steps as a checked invariant;
 * local coupling: at each emitter cell the triple (phi_R, phi_L, e) evolves
-  by the exact exponential of its 3x3 generator. In the rotated basis the
-  bright combination (e^{i theta} phi_R + e^{-i theta} phi_L)/sqrt(2) couples
-  to the emitter with strength sqrt(2)*V/sqrt(dx) while the dark combination
-  is frozen, so the exponential is a closed-form 2x2 block.
+  by the exact exponential of its 3x3 generator. The bright combination
+  (phi_R + phi_L)/sqrt(2) couples to the emitter with strength
+  sqrt(2)*V/sqrt(dx) while the dark combination is frozen, so the
+  exponential is a closed-form 2x2 block. The coupled sites, their cells and
+  their strengths are fixed per grid and derived once, when it is built.
 
 Every substep is unitary, which is why the norm holds to ~1e-14 per step
 rather than drifting at some integrator order.
@@ -70,16 +72,15 @@ class PacketSpec:
     """Gaussian input packet, right-moving, envelope units.
 
     bandwidth is the spectral standard deviation sigma_omega; the spatial
-    envelope has sigma_x = v_g / (2 sigma_omega). center_freq records the
-    carrier offset from the emitters' reference (0 = resonant carrier).
+    envelope has sigma_x = 1 / (2 sigma_omega) (v_g = 1). The carrier is
+    resonant with the static emitters.
     """
 
     bandwidth: float
     launch_center: float
-    center_freq: float = 0.0
 
-    def sigma_x(self, group_velocity: float = 1.0) -> float:
-        return group_velocity / (2.0 * self.bandwidth)
+    def sigma_x(self) -> float:
+        return 1.0 / (2.0 * self.bandwidth)
 
 
 @dataclass(frozen=True)
@@ -87,43 +88,41 @@ class ModulationSchedule:
     """Sinusoidal frequency modulation with a switching window.
 
     The instantaneous frequency offset contributed to the site is
-    amp_energy * cos(freq * t) while t is inside [switch_on, switch_off),
-    scaled down linearly over the final ramp_duration (0 = hard cut).
+    amp_energy * cos(freq * t) while t is inside [switch_on, switch_off)
+    and 0 outside it (a hard cut).
     """
 
     amp_energy: float
     freq: float
     switch_on: float = 0.0
     switch_off: float | None = None
-    ramp_duration: float = 0.0
+
+    def __post_init__(self):
+        for name in ("amp_energy", "freq"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise OutOfRangeError(
+                    f"modulation {name} must be finite, got {value!r}"
+                )
 
     def envelope(self, t: float) -> float:
-        if t < self.switch_on:
-            return 0.0
-        if self.switch_off is None:
-            return 1.0
-        if t >= self.switch_off:
-            return 0.0
-        if self.ramp_duration > 0 and t > self.switch_off - self.ramp_duration:
-            return (self.switch_off - t) / self.ramp_duration
-        return 1.0
+        off = self.switch_off
+        return 1.0 if self.switch_on <= t and (off is None or t < off) else 0.0
 
     def value(self, t: float) -> float:
-        env = self.envelope(t)
-        if env == 0.0:
+        if not self.envelope(t):
             return 0.0
-        return self.amp_energy * math.cos(self.freq * t) * env
+        return self.amp_energy * math.cos(self.freq * t)
 
 
 @dataclass(frozen=True)
 class EmitterSite:
-    """One emitter: position, waveguide coupling, static detuning from the
-    carrier, and the carrier phase at its (sub-cell) position."""
+    """One emitter: position, waveguide coupling (0 = transparent) and static
+    detuning from the carrier."""
 
     position: float
     coupling: float = 1.0
     detuning: float = 0.0
-    phase: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -139,7 +138,6 @@ class TrapProtocol:
     n_cells: int = 20000
     horizon: float = 0.0
     measure_time: float = 0.0
-    group_velocity: float = 1.0
 
     def __post_init__(self):
         _check_grid_inputs(self.packet.bandwidth, self.n_cells)
@@ -147,10 +145,10 @@ class TrapProtocol:
             raise ValueError("sites must satisfy x_left < x_right")
         sched = self.left_schedule
         if sched is not None and sched.switch_off is not None:
-            sx = self.packet.sigma_x(self.group_velocity)
-            lead = self.packet.launch_center + 4.0 * sx
-            t_lead_left = (self.left_site.position - lead) / self.group_velocity
-            t_lead_right = (self.right_site.position - lead) / self.group_velocity
+            lead = self.packet.launch_center + 4.0 * self.packet.sigma_x()
+            # v_g = 1: the leading edge reaches x at time x - lead
+            t_lead_left = self.left_site.position - lead
+            t_lead_right = self.right_site.position - lead
             if not (t_lead_left < sched.switch_off < t_lead_right):
                 raise ValueError(
                     "switch_off must fall after the leading edge passes the "
@@ -163,23 +161,19 @@ class TrapProtocol:
 
     @property
     def round_trip(self) -> float:
-        return 2.0 * self.cavity_length / self.group_velocity
+        return 2.0 * self.cavity_length
 
     def sites(self) -> tuple[EmitterSite, EmitterSite]:
         return (self.left_site, self.right_site)
 
     def site_frequency_offsets(self, t: float) -> tuple[float, float]:
         """Instantaneous site frequency offsets from the carrier."""
-        out = []
-        for site, sched in (
-            (self.left_site, self.left_schedule),
-            (self.right_site, self.right_schedule),
-        ):
-            w = site.detuning
-            if sched is not None:
-                w += sched.value(t)
-            out.append(w)
-        return tuple(out)
+        w_l, w_r = self.left_site.detuning, self.right_site.detuning
+        if self.left_schedule is not None:
+            w_l += self.left_schedule.value(t)
+        if self.right_schedule is not None:
+            w_r += self.right_schedule.value(t)
+        return w_l, w_r
 
 
 class GridState:
@@ -197,26 +191,35 @@ class GridState:
     (inclusive) plus the emitters. step keeps it up to date from the four
     fluxes across the cavity edges; writing single cells through the views
     bypasses it until the next assignment or recount.
+
+    The per-grid coupling constants are derived here once: _coupled lists
+    (site index, cell, lam) for every site with nonzero coupling, where
+    lam = sqrt(2)*coupling/sqrt(dx) is the bright-mode coupling in cell
+    amplitudes, and _sqdx = sqrt(dx) converts between the two.
     """
 
     def __init__(
         self,
         dx: float,
         n_cells: int,
-        time: float,
         phi_R: np.ndarray,
         phi_L: np.ndarray,
         e_site: np.ndarray,
         positions: np.ndarray,          # cell index per site
-        reflected_out: float = 0.0,
-        transmitted_out: float = 0.0,
+        couplings: tuple[float, ...],   # waveguide coupling per site
     ):
         self.dx = dx
         self.n_cells = n_cells
-        self.time = time
+        self.time = 0.0
         self.positions = np.asarray(positions)
-        self.reflected_out = reflected_out
-        self.transmitted_out = transmitted_out
+        self._sqdx = math.sqrt(dx)
+        self._coupled = tuple(
+            (i, int(m), SQ2 * g / self._sqdx)
+            for i, (m, g) in enumerate(zip(self.positions, couplings))
+            if g != 0.0
+        )
+        self.reflected_out = 0.0
+        self.transmitted_out = 0.0
         self._m_lo = int(self.positions[0])
         self._m_hi = int(self.positions[-1])
         # buffer index of lab cell 0: the right mover's start walks down,
@@ -314,15 +317,13 @@ def init_grid(protocol: TrapProtocol) -> GridState:
     """
     packet, n_cells = protocol.packet, protocol.n_cells
     dx = protocol.domain_length / n_cells
-    sx = packet.sigma_x(protocol.group_velocity)
+    sx = packet.sigma_x()
     if sx / dx < 20.0:
         raise ResolutionError(
             f"sigma_x={sx:g} spans fewer than 20 cells at dx={dx:g}"
         )
     x = (np.arange(n_cells) + 0.5) * dx
     psi = np.exp(-((x - packet.launch_center) ** 2) / (4.0 * sx**2)).astype(complex)
-    if packet.center_freq != 0.0:
-        psi *= np.exp(1j * packet.center_freq * x / protocol.group_velocity)
     psi /= math.sqrt(float(np.sum(np.abs(psi) ** 2) * dx))
     positions = []
     for site in protocol.sites():
@@ -333,58 +334,42 @@ def init_grid(protocol: TrapProtocol) -> GridState:
     return GridState(
         dx=dx,
         n_cells=n_cells,
-        time=0.0,
         phi_R=psi,
         phi_L=np.zeros(n_cells, complex),
         e_site=np.zeros(len(positions), complex),
         positions=np.array(positions),
+        couplings=tuple(site.coupling for site in protocol.sites()),
     )
 
 
-def _couple_site(
-    state: GridState, i: int, lam: float, theta: float, w: float, tau: float
-) -> None:
-    # exact exponential of the local generator over tau; lam folds in the
-    # cell-amplitude conversion sqrt(dx)
-    m = int(state.positions[i])
-    R, L = state._buf_R, state._buf_L
-    jr, jl = state._r0 + m, state._l0 + m
-    sqdx = math.sqrt(state.dx)
-    ep = complex(math.cos(theta), math.sin(theta))
-    a_r = R[jr] * sqdx
-    a_l = L[jl] * sqdx
-    p = (a_r * ep + a_l / ep) / SQ2
-    d = (a_r * ep - a_l / ep) / SQ2
-    e = state._e[i]
-    rho = math.hypot(0.5 * w, lam)
-    ph = complex(math.cos(0.5 * w * tau), -math.sin(0.5 * w * tau))
-    if rho > 0.0:
-        co = math.cos(rho * tau)
-        sn = math.sin(rho * tau) / rho
-    else:
-        co, sn = 1.0, tau
-    e2 = ph * (co * e - 1j * sn * (0.5 * w * e + lam * p))
-    p2 = ph * (co * p - 1j * sn * (lam * e - 0.5 * w * p))
-    state._e[i] = e2
-    R[jr] = (p2 + d) / (SQ2 * ep * sqdx)
-    L[jl] = (p2 - d) * ep / (SQ2 * sqdx)
-
-
 def step(state: GridState, protocol: TrapProtocol) -> GridState:
-    """Advance one step of dt = dx / v_g in place (and return the state for
+    """Advance one step of dt = dx in place (and return the state for
     chaining): the advection is then an exact one-cell shift, done by moving
     each mover's window start (see GridState).
     """
-    dt = state.dx / protocol.group_velocity
+    tau = state.dx
     state._advect()
-    # local coupling, modulation sampled at the step midpoint
-    offsets = protocol.site_frequency_offsets(state.time + 0.5 * dt)
-    for i, site in enumerate(protocol.sites()):
-        if site.coupling == 0.0:
-            continue
-        lam = SQ2 * site.coupling / math.sqrt(state.dx)
-        _couple_site(state, i, lam, site.phase, offsets[i], dt)
-    state.time += dt
+    # local coupling, modulation sampled at the step midpoint: the exact
+    # exponential of each coupled site's bright-mode/emitter block over tau
+    offsets = protocol.site_frequency_offsets(state.time + 0.5 * tau)
+    R, L, e_site, sqdx = state._buf_R, state._buf_L, state._e, state._sqdx
+    for i, m, lam in state._coupled:
+        w = offsets[i]
+        jr, jl = state._r0 + m, state._l0 + m
+        a_r = R[jr] * sqdx
+        a_l = L[jl] * sqdx
+        p = (a_r + a_l) / SQ2
+        d = (a_r - a_l) / SQ2
+        e = e_site[i]
+        rho = math.hypot(0.5 * w, lam)  # >= |lam| > 0
+        ph = complex(math.cos(0.5 * w * tau), -math.sin(0.5 * w * tau))
+        co = math.cos(rho * tau)
+        sn = math.sin(rho * tau) / rho
+        e_site[i] = ph * (co * e - 1j * sn * (0.5 * w * e + lam * p))
+        p2 = ph * (co * p - 1j * sn * (lam * e - 0.5 * w * p))
+        R[jr] = (p2 + d) / (SQ2 * sqdx)
+        L[jl] = (p2 - d) / (SQ2 * sqdx)
+    state.time += tau
     return state
 
 
@@ -408,15 +393,15 @@ def _run_grid(protocol: TrapProtocol):
     """The grid run loop: step from the initial packet to the horizon.
 
     Records the time and p_cav after every step. Every P_CAV_CHECK_EVERY
-    steps (and after the last) it samples the norm drift and recounts p_cav
-    from the fields; the flux-updated tally must agree with the recount to
-    P_CAV_TOLERANCE or the run stops with InvariantError. Returns the final
+    steps (and after the last) it samples the norm drift, which must be
+    finite, and recounts p_cav from the fields; the flux-updated tally must
+    agree with the recount to P_CAV_TOLERANCE, or the run stops with
+    InvariantError. Returns the final
     state, the time and p_cav series, the largest norm drift, and the
     transmitted tally at the right mirror's switch-on (None without one).
     """
     state = init_grid(protocol)
-    dt = state.dx / protocol.group_velocity
-    n_steps = int(round(protocol.horizon / dt))
+    n_steps = int(round(protocol.horizon / state.dx))
     times = np.empty(n_steps)
     p_cav = np.empty(n_steps)
     norm_drift = 0.0
@@ -432,9 +417,15 @@ def _run_grid(protocol: TrapProtocol):
         if t_rel is not None and state.time <= t_rel:
             trans_at_release = state.transmitted_out
         if k % P_CAV_CHECK_EVERY == 0 or k == n_steps - 1:
-            norm_drift = max(norm_drift, abs(1.0 - norm(state)))
+            # written so that a NaN fails both checks
+            drift = abs(1.0 - norm(state))
+            if not drift < math.inf:
+                raise InvariantError(
+                    f"norm drift is {drift!r} at t={state.time:g}"
+                )
+            norm_drift = max(norm_drift, drift)
             recount = _cavity_sum(state)
-            if abs(recount - state.p_cav) > P_CAV_TOLERANCE:
+            if not abs(recount - state.p_cav) <= P_CAV_TOLERANCE:
                 raise InvariantError(
                     f"p_cav tally {state.p_cav!r} disagrees with its recount "
                     f"{recount!r} by more than {P_CAV_TOLERANCE:g} at "

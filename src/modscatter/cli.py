@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 import time
 
@@ -345,6 +346,24 @@ def cmd_oracle(args) -> int:
     rng = _pick(args.delta_range, o_cfg, "delta_range", "-10:10:21", str)
     tol_hb = _pick(args.tol_hb, o_cfg, "tol_hb", 1e-8, float)
     tol_td = _pick(args.tol_td, o_cfg, "tol_td", 1e-3, float)
+    for flag, key, tol in (("--tol-hb", "tol_hb", tol_hb),
+                           ("--tol-td", "tol_td", tol_td)):
+        if not 0.0 < tol < math.inf:
+            raise OutOfRangeError(
+                f"{flag} ([oracle] {key}) must be finite and > 0, got {tol!r}"
+            )
+    cases = []
+    for tok in cases_text.split(","):
+        try:
+            amp, freq = (float(v) for v in tok.split(":"))
+            if not (math.isfinite(amp) and math.isfinite(freq)):
+                raise ValueError
+        except ValueError:
+            raise OutOfRangeError(
+                f"--cases entry {tok!r} is not of the form AMP:FREQ with "
+                f"finite numbers (e.g. 5:2,5:8)"
+            ) from None
+        cases.append((amp, freq))
     if args.dump_config:
         sys.stdout.write(dump_config({
             "oracle": {"cases": cases_text, "delta_range": rng,
@@ -352,10 +371,6 @@ def cmd_oracle(args) -> int:
             "output": _printable_output(opts),
         }))
         return EXIT_OK
-    cases = []
-    for tok in cases_text.split(","):
-        amp, freq = tok.split(":")
-        cases.append((float(amp), float(freq)))
     start, stop, points = parse_range(rng)
     deltas = np.linspace(start, stop, points)
     header = ["mod_amp_energy", "mod_freq", "max_dev_series_hb",

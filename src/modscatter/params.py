@@ -107,15 +107,12 @@ class TruncationSpec:
 
     sideband_max: int
     sum_max: int
-    unitarity_tol: float = 1e-10
 
     def __post_init__(self):
         if self.sideband_max < 0:
             raise ValueError("sideband_max must be >= 0")
         if self.sum_max < self.sideband_max:
             raise ValueError("sum_max must be >= sideband_max")
-        if not (self.unitarity_tol > 0):
-            raise ValueError("unitarity_tol must be positive")
 
 
 @dataclass(frozen=True)

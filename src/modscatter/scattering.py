@@ -219,7 +219,7 @@ def auto_truncation(
     n = min(n, 512)
     best_defect = np.inf
     while True:
-        trunc = TruncationSpec(sideband_max=n, sum_max=n + 8, unitarity_tol=tol)
+        trunc = TruncationSpec(sideband_max=n, sum_max=n + 8)
         sset = reflection_amplitudes(params, ScatteringQuery(detuning, trunc))
         best_defect = min(best_defect, sset.unitarity_defect)
         if sset.unitarity_defect < tol:

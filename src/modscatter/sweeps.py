@@ -1,9 +1,9 @@
 """Parameter sweeps and the bundled figure presets.
 
 A sweep varies exactly one of {detuning, mod_amp_energy, mod_freq} in
-gamma-normalized units, evaluates the requested observables per point with
-per-point adaptive truncation, and returns a deterministic dataset in axis
-order.
+gamma-normalized units, evaluates T, R, the unitarity defect and the
+requested sideband orders per point with per-point adaptive truncation, and
+returns a deterministic dataset in axis order.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ class SweepSpec:
     detuning: float = 0.0
     mod_amp_energy: float = 0.0
     mod_freq: float = 0.0
-    observables: tuple[str, ...] = ("T", "R", "unitarity_defect")
     sideband_orders: tuple[int, ...] = ()
     method: str = "series"
     name: str = ""
@@ -115,16 +114,11 @@ def sideband_resolved(
 def _observables_for_row(
     sset: SidebandSet, spec: SweepSpec, hb_total: float | None
 ) -> dict[str, float]:
-    row: dict[str, float] = {}
-    for name in spec.observables:
-        if name == "T":
-            row["T"] = sset.total_T
-        elif name == "R":
-            row["R"] = sset.total_R
-        elif name == "unitarity_defect":
-            row["unitarity_defect"] = sset.unitarity_defect
-        else:
-            raise ValueError(f"unknown observable {name!r}")
+    row = {
+        "T": sset.total_T,
+        "R": sset.total_R,
+        "unitarity_defect": sset.unitarity_defect,
+    }
     row.update(_transmitted(sset, spec.sideband_orders))
     if hb_total is not None:
         row["discrepancy"] = abs(sset.total_T - hb_total)
@@ -138,7 +132,7 @@ def _eval_point(spec: SweepSpec, value: float) -> tuple[dict[str, float], int, b
         sset = evaluate_sidebands(params, delta)
     except TruncationError:
         # keep sweeping; the row is flagged and carries NaNs
-        nan_row = {name: float("nan") for name in spec.observables}
+        nan_row = dict.fromkeys(("T", "R", "unitarity_defect"), float("nan"))
         for n in spec.sideband_orders:
             nan_row[f"T_{n}"] = float("nan")
         if spec.method == "both":

@@ -42,7 +42,6 @@ def ballistic_protocol(bandwidth=0.05, domain_factor=24.0):
 class TestPacketAndSchedule:
     def test_sigma_x_bandwidth_relation(self):
         assert PacketSpec(bandwidth=0.05, launch_center=0.0).sigma_x() == 10.0
-        assert PacketSpec(bandwidth=0.1, launch_center=0.0).sigma_x(2.0) == 10.0
 
     def test_schedule_window(self):
         sched = ModulationSchedule(amp_energy=4.0, freq=2.0, switch_off=10.0)
@@ -52,17 +51,17 @@ class TestPacketAndSchedule:
         assert sched.value(5.0) == pytest.approx(4.0 * math.cos(10.0))
         assert sched.value(12.0) == 0.0
 
-    def test_schedule_ramp(self):
-        sched = ModulationSchedule(
-            amp_energy=4.0, freq=2.0, switch_off=10.0, ramp_duration=2.0
-        )
-        assert sched.envelope(7.9) == 1.0
-        assert sched.envelope(9.0) == pytest.approx(0.5)
-        assert sched.envelope(10.0) == 0.0
-
     def test_always_on_schedule(self):
         sched = ModulationSchedule(amp_energy=4.0, freq=2.0)
         assert sched.envelope(1e6) == 1.0
+
+    @pytest.mark.parametrize("field", ["amp_energy", "freq"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_schedule_refused(self, field, value):
+        kwargs = dict(amp_energy=4.0, freq=2.0)
+        kwargs[field] = value
+        with pytest.raises(OutOfRangeError, match=field):
+            ModulationSchedule(**kwargs)
 
 
 class TestProtocolGeometry:
@@ -211,7 +210,7 @@ class TestLocalUnitarity:
         sx = 10.0
         proto = TrapProtocol(
             packet=PacketSpec(bandwidth=0.05, launch_center=6.0 * sx),
-            left_site=EmitterSite(position=10.0 * sx, phase=0.3),
+            left_site=EmitterSite(position=10.0 * sx),
             right_site=EmitterSite(position=16.0 * sx, detuning=1.2),
             left_schedule=ModulationSchedule(amp_energy=4.81, freq=2.0),
             right_schedule=None,
@@ -340,6 +339,23 @@ class TestCavityTally:
             return state
 
         monkeypatch.setattr("modscatter.cavity.step", leaky_step)
+        proto = default_trap_protocol(bandwidth=0.1, n_cells=1500)
+        with pytest.raises(InvariantError):
+            run_protocol(proto)
+
+    # the left mirror cell, a cavity cell, a cell past the right mirror
+    @pytest.mark.parametrize("site, offset", [(0, 0), (0, 5), (1, 5)])
+    def test_nan_field_raises(self, monkeypatch, site, offset):
+        # a NaN compares false with every bound: the checks must still fail
+        real_step = step
+
+        def nan_step(state, protocol):
+            real_step(state, protocol)
+            if state.time > 300.0:
+                state.phi_R[int(state.positions[site]) + offset] = math.nan
+            return state
+
+        monkeypatch.setattr("modscatter.cavity.step", nan_step)
         proto = default_trap_protocol(bandwidth=0.1, n_cells=1500)
         with pytest.raises(InvariantError):
             run_protocol(proto)

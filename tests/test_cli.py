@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import modscatter
-from modscatter import cli
+from modscatter import cavity, cli
 from modscatter.cli import main
 
 
@@ -330,6 +330,35 @@ class TestOracleCommand:
         assert main(["oracle", "--delta-range", "-1:1:1000000000"]) == 64
         assert "100000" in capsys.readouterr().err
 
+    @pytest.fixture
+    def no_solve(self, monkeypatch):
+        def never_run(*args, **kwargs):
+            raise AssertionError("refused input reached a solver")
+
+        monkeypatch.setattr("modscatter.cli.cross_validate", never_run)
+
+    @pytest.mark.parametrize("flag, key", [("--tol-hb", "tol_hb"),
+                                           ("--tol-td", "tol_td")])
+    @pytest.mark.parametrize("value", ["nan", "0", "-0.001", "inf"])
+    def test_bad_tolerance_refused(self, flag, key, value, tmp_path, capsys,
+                                   no_solve):
+        argv = ["oracle", "--cases", "5:2", "--delta-range", "0:1:2"]
+        assert main(argv + [flag, value]) == 64
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[oracle]\n{key} = {value}\n")
+        assert main(argv + ["--config", str(cfg)]) == 64
+        err = capsys.readouterr().err
+        assert err.count("error[out-of-range]") == 2
+        assert err.count(flag) == 2
+
+    @pytest.mark.parametrize("cases", ["5", "5:2:1", "5:2,x:y", "5;2",
+                                       "5:inf", "nan:2"])
+    def test_malformed_cases_name_the_flag(self, cases, capsys, no_solve):
+        assert main(["oracle", "--cases", cases]) == 64
+        err = capsys.readouterr().err
+        assert "--cases" in err
+        assert "AMP:FREQ" in err
+
 
 def test_cli_import_leaves_scipy_unloaded():
     # scipy serves only the harmonic-balance solve and is imported there
@@ -407,6 +436,37 @@ class TestTrapCommand:
         err = capsys.readouterr().err
         assert err.count("error[out-of-range]") == 2
         assert ">= 1" in err
+
+    @pytest.mark.parametrize("flag, field", [("--amp-energy", "amp_energy"),
+                                             ("--mod-freq", "freq")])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_modulation_refused(self, flag, field, value, capsys,
+                                           monkeypatch):
+        def never_run(protocol):
+            raise AssertionError("refused modulation reached the grid")
+
+        monkeypatch.setattr("modscatter.cli.run_protocol", never_run)
+        assert main(["trap", "--cells", "1500", "--bandwidth", "0.1",
+                     flag, value]) == 64
+        err = capsys.readouterr().err
+        assert "error[out-of-range]" in err
+        assert field in err
+
+    def test_nan_field_exits_with_quality_code(self, tmp_path, capsys,
+                                               monkeypatch):
+        real_step = cavity.step
+
+        def nan_step(state, protocol):
+            real_step(state, protocol)
+            state.phi_R[int(state.positions[0]) + 5] = float("nan")
+            return state
+
+        monkeypatch.setattr("modscatter.cavity.step", nan_step)
+        out = tmp_path / "trap.csv"
+        assert main(["trap", "--cells", "1500", "--bandwidth", "0.1",
+                     "--out", str(out)]) == 2
+        assert "error[invariant-violation]" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestVersionFlag:

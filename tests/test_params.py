@@ -103,8 +103,6 @@ class TestTruncationSpec:
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError):
             TruncationSpec(sideband_max=-1, sum_max=4)
-        with pytest.raises(ValueError):
-            TruncationSpec(sideband_max=3, sum_max=5, unitarity_tol=0.0)
 
 
 class TestScatteringQuery:

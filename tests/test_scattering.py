@@ -195,7 +195,7 @@ class TestTruncationControl:
         assert out.truncation_used.sideband_max >= 25
 
     def test_undersized_window_reports_defect(self, params_reference):
-        tight = TruncationSpec(sideband_max=2, sum_max=2, unitarity_tol=1e-10)
+        tight = TruncationSpec(sideband_max=2, sum_max=2)
         out = evaluate_sidebands(params_reference, 0.0, truncation=tight)
         assert out.unitarity_defect > 1e-3
 
