@@ -10,19 +10,23 @@ and no numerical dispersion:
   field between the emitters is a pure delay line. The shift is a moving
   frame: each mover sits in a fixed buffer of 2*n_cells cells, a step moves
   the live window's start index by one and zeroes the one cell that enters,
-  and the window is copied back once every n_cells steps, so a step costs
-  O(emitters) rather than O(cells). Amplitudes crossing the domain edges
-  accumulate into reflected/transmitted tallies. The cavity probability
-  (cells between the emitters plus the emitters) changes only through the
-  four fluxes across the cavity edges, since the coupling below is unitary
-  on each emitter cell with its emitter; it is updated from those fluxes and
-  recounted from scratch every 2000 steps as a checked invariant;
+  and the window is copied back when the next block of steps would run off
+  the buffer. Amplitudes crossing the domain edges accumulate into
+  reflected/transmitted tallies. The cavity probability (cells between the
+  emitters plus the emitters) changes only through the four fluxes across
+  the cavity edges, since the coupling below is unitary on each emitter cell
+  with its emitter; it is updated from those fluxes and recounted from
+  scratch every 2000 steps as a checked invariant;
 * local coupling: at each emitter cell the triple (phi_R, phi_L, e) evolves
   by the exact exponential of its 3x3 generator. The bright combination
   (phi_R + phi_L)/sqrt(2) couples to the emitter with strength
   sqrt(2)*V/sqrt(dx) while the dark combination is frozen, so the
   exponential is a closed-form 2x2 block. The coupled sites, their cells and
   their strengths are fixed per grid and derived once, when it is built.
+
+The delay line holds every emitter input of the next D steps, D the emitter
+separation in cells (Pichler & Zoller, PRL 116, 093601 (2016)), so the run
+advances a block of up to D steps at a time, bitwise as if step by step.
 
 Every substep is unitary, which is why the norm holds to ~1e-14 per step
 rather than drifting at some integrator order.
@@ -37,6 +41,7 @@ remaining leakage comes from the packet's finite bandwidth alone.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -57,9 +62,11 @@ P_CAV_TOLERANCE = 1e-12
 def _check_grid_inputs(bandwidth: float, n_cells: int) -> None:
     """Refuse a packet bandwidth or cell count outside the runnable domain
     before any geometry is derived or any array allocated."""
-    if not (math.isfinite(bandwidth) and bandwidth > 0.0):
+    if not (math.isfinite(bandwidth) and bandwidth > 0.0
+            and math.isfinite(4.0 / (2.0 * bandwidth) / (2.0 * bandwidth))):
         raise OutOfRangeError(
-            f"bandwidth must be finite and > 0, got {bandwidth!r}"
+            f"bandwidth must be finite and > 0 with the packet's 4*sigma_x^2 "
+            f"(and so its 30*sigma_x domain) finite, got {bandwidth!r}"
         )
     if not 1 <= n_cells <= MAX_CELLS:
         raise OutOfRangeError(
@@ -141,6 +148,13 @@ class TrapProtocol:
 
     def __post_init__(self):
         _check_grid_inputs(self.packet.bandwidth, self.n_cells)
+        dt = self.domain_length / self.n_cells  # one modulation sample a step
+        for sched in filter(None, (self.left_schedule, self.right_schedule)):
+            if not max(abs(sched.amp_energy), abs(sched.freq)) * dt < math.pi:
+                raise OutOfRangeError(
+                    f"|amp_energy|*dt and |freq|*dt must be < pi (the Nyquist "
+                    f"limit at dt={dt:g}), got {sched}"
+                )
         if self.right_site.position <= self.left_site.position:
             raise ValueError("sites must satisfy x_left < x_right")
         sched = self.left_schedule
@@ -182,20 +196,21 @@ class GridState:
     phi_R/phi_L are the lab-frame envelope amplitudes, normalized so that
     sum (|phi_R|^2+|phi_L|^2) dx + sum |e|^2 plus the boundary tallies equals
     1. Each mover lives in a fixed buffer of 2*n_cells cells and phi_R/phi_L
-    are views of its live window: a step moves the window's start by one cell
+    are views of its live window: n steps move the window's start by n cells
     instead of shifting the array, and the window is copied back to the far
-    end of its buffer once every n_cells steps. Assigning phi_R, phi_L or
-    e_site writes into the state and recounts p_cav.
+    end of its buffer when it has no room left for the next block. Assigning
+    phi_R, phi_L or e_site writes into the state and recounts p_cav.
 
     p_cav is the probability in the cells from the first to the last site
-    (inclusive) plus the emitters. step keeps it up to date from the four
+    (inclusive) plus the emitters. The steps keep it up to date from the four
     fluxes across the cavity edges; writing single cells through the views
     bypasses it until the next assignment or recount.
 
-    The per-grid coupling constants are derived here once: _coupled lists
+    The per-grid constants are derived here once: _coupled lists
     (site index, cell, lam) for every site with nonzero coupling, where
     lam = sqrt(2)*coupling/sqrt(dx) is the bright-mode coupling in cell
-    amplitudes, and _sqdx = sqrt(dx) converts between the two.
+    amplitudes, _sqdx = sqrt(dx) converts between the two; _max_block = D is
+    the site separation in cells (at least 1), the longest block of steps.
     """
 
     def __init__(
@@ -222,6 +237,7 @@ class GridState:
         self.transmitted_out = 0.0
         self._m_lo = int(self.positions[0])
         self._m_hi = int(self.positions[-1])
+        self._max_block = max(1, self._m_hi - self._m_lo)
         # buffer index of lab cell 0: the right mover's start walks down,
         # the left mover's walks up
         self._buf_R = np.zeros(2 * n_cells, complex)
@@ -258,31 +274,6 @@ class GridState:
     def e_site(self, values) -> None:
         self._e = np.array(values, complex)
         self.p_cav = _cavity_sum(self)
-
-    def _advect(self) -> None:
-        """Move both movers one cell: tally the cells that leave the domain,
-        zero the ones that enter it, and carry p_cav across the cavity edges
-        (R in at m_lo and out past m_hi, L in at m_hi and out past m_lo)."""
-        n, dx = self.n_cells, self.dx
-        R, L = self._buf_R, self._buf_L
-        r0, l0 = self._r0, self._l0
-        lo, hi = self._m_lo, self._m_hi
-        self.transmitted_out += abs(R[r0 + n - 1]) ** 2 * dx
-        self.reflected_out += abs(L[l0]) ** 2 * dx
-        flux = -(abs(R[r0 + hi]) ** 2) - abs(L[l0 + lo]) ** 2
-        if r0 == 0:
-            R[n:] = R[:n]
-            r0 = n
-        if l0 == n:
-            L[:n] = L[n:]
-            l0 = 0
-        r0 -= 1
-        l0 += 1
-        R[r0] = 0.0
-        L[l0 + n - 1] = 0.0
-        self._r0, self._l0 = r0, l0
-        flux += abs(R[r0 + lo]) ** 2 + abs(L[l0 + hi]) ** 2
-        self.p_cav += flux * dx
 
 
 def _cavity_sum(state: GridState) -> float:
@@ -342,34 +333,80 @@ def init_grid(protocol: TrapProtocol) -> GridState:
     )
 
 
-def step(state: GridState, protocol: TrapProtocol) -> GridState:
-    """Advance one step of dt = dx in place (and return the state for
-    chaining): the advection is then an exact one-cell shift, done by moving
-    each mover's window start (see GridState).
+def _advance(state: GridState, protocol: TrapProtocol, n: int):
+    """Advance n steps of dt = dx in place, 1 <= n <= D (state._max_block),
+    and return the time, p_cav and transmitted tally after each step.
+
+    Within D steps no site needs an output that a site after it makes, so
+    the sites run in order, each over its n inputs on Python scalars (the
+    exact bright-mode/emitter exponential, modulation sampled at each step's
+    midpoint); the edge tallies and cavity-edge fluxes are then replayed.
     """
-    tau = state.dx
-    state._advect()
-    # local coupling, modulation sampled at the step midpoint: the exact
-    # exponential of each coupled site's bright-mode/emitter block over tau
-    offsets = protocol.site_frequency_offsets(state.time + 0.5 * tau)
-    R, L, e_site, sqdx = state._buf_R, state._buf_L, state._e, state._sqdx
+    if not 1 <= n <= state._max_block:
+        raise OutOfRangeError(
+            f"a block is 1 to D={state._max_block} steps, got {n}"
+        )
+    N, tau, sqdx = state.n_cells, state.dx, state._sqdx
+    R, L, e_site = state._buf_R, state._buf_L, state._e
+    lo, hi = state._m_lo, state._m_hi
+    r0, l0 = state._r0, state._l0
+    if r0 < n:  # a window that cannot move n cells is copied back
+        R[N:], r0 = R[r0 : r0 + N], N
+    if l0 + n > N:
+        L[:N], l0 = L[l0 : l0 + N], 0
+    # step j = 1..n sees lab cell m at R[r0 - j + m] and L[l0 + j + m]
+    R[r0 - n : r0] = 0.0
+    L[l0 + N : l0 + N + n] = 0.0
+    entering_lo = R[r0 + lo - n : r0 + lo].tolist()[::-1]
+    entering_hi = L[l0 + hi + 1 : l0 + hi + 1 + n].tolist()
+    times = list(itertools.accumulate([tau] * n, initial=state.time))
+    offsets = [protocol.site_frequency_offsets(t + 0.5 * tau)
+               for t in times[:-1]]
+    # Python's complex / float divides, numpy's multiplies by the reciprocal
+    c, s = 1.0 / SQ2, 1.0 / (SQ2 * sqdx)
     for i, m, lam in state._coupled:
-        w = offsets[i]
-        jr, jl = state._r0 + m, state._l0 + m
-        a_r = R[jr] * sqdx
-        a_l = L[jl] * sqdx
-        p = (a_r + a_l) / SQ2
-        d = (a_r - a_l) / SQ2
-        e = e_site[i]
-        rho = math.hypot(0.5 * w, lam)  # >= |lam| > 0
-        ph = complex(math.cos(0.5 * w * tau), -math.sin(0.5 * w * tau))
-        co = math.cos(rho * tau)
-        sn = math.sin(rho * tau) / rho
-        e_site[i] = ph * (co * e - 1j * sn * (0.5 * w * e + lam * p))
-        p2 = ph * (co * p - 1j * sn * (lam * e - 0.5 * w * p))
-        R[jr] = (p2 + d) / (SQ2 * sqdx)
-        L[jl] = (p2 - d) / (SQ2 * sqdx)
-    state.time += tau
+        jr, jl = r0 + m, l0 + m
+        outs_R, outs_L, e, w_last = [], [], complex(e_site[i]), None
+        for a_r, a_l, ws in zip(R[jr - n : jr].tolist()[::-1],
+                                L[jl + 1 : jl + 1 + n].tolist(), offsets):
+            w = ws[i]
+            if w != w_last:
+                w_last, hw = w, 0.5 * w
+                rho = math.hypot(hw, lam)  # >= |lam| > 0
+                ph = complex(math.cos(hw * tau), -math.sin(hw * tau))
+                co = math.cos(rho * tau)
+                sn = math.sin(rho * tau) / rho
+            a_r, a_l = a_r * sqdx, a_l * sqdx
+            p, d = (a_r + a_l) * c, (a_r - a_l) * c
+            e, p2 = (ph * (co * e - 1j * sn * (hw * e + lam * p)),
+                     ph * (co * p - 1j * sn * (lam * e - hw * p)))
+            outs_R.append((p2 + d) * s)
+            outs_L.append((p2 - d) * s)
+        e_site[i] = e
+        R[jr - n : jr] = outs_R[::-1]
+        L[jl + 1 : jl + 1 + n] = outs_L
+    # per step: R and L leaving the domain, leaving the cavity, entering it
+    edges = zip(R[r0 + N - n : r0 + N].tolist()[::-1], L[l0 : l0 + n].tolist(),
+                R[r0 + hi + 1 - n : r0 + hi + 1].tolist()[::-1],
+                L[l0 + lo : l0 + lo + n].tolist(), entering_lo, entering_hi)
+    trans, refl, cav = state.transmitted_out, state.reflected_out, state.p_cav
+    p_cavs, transmitted = [], []
+    for gone_R, gone_L, out_hi, out_lo, in_lo, in_hi in edges:
+        trans += abs(gone_R) ** 2 * tau
+        refl += abs(gone_L) ** 2 * tau
+        flux = -(abs(out_hi) ** 2) - abs(out_lo) ** 2
+        flux += abs(in_lo) ** 2 + abs(in_hi) ** 2
+        cav += flux * tau
+        p_cavs.append(cav)
+        transmitted.append(trans)
+    state.transmitted_out, state.reflected_out, state.p_cav = trans, refl, cav
+    state._r0, state._l0, state.time = r0 - n, l0 + n, times[-1]
+    return times[1:], p_cavs, transmitted
+
+
+def step(state: GridState, protocol: TrapProtocol) -> GridState:
+    """Advance one step of dt = dx in place and return the state."""
+    _advance(state, protocol, 1)
     return state
 
 
@@ -390,15 +427,15 @@ class TrapReport:
 
 
 def _run_grid(protocol: TrapProtocol):
-    """The grid run loop: step from the initial packet to the horizon.
+    """The grid run loop: advance from the initial packet to the horizon.
 
     Records the time and p_cav after every step. Every P_CAV_CHECK_EVERY
     steps (and after the last) it samples the norm drift, which must be
     finite, and recounts p_cav from the fields; the flux-updated tally must
     agree with the recount to P_CAV_TOLERANCE, or the run stops with
-    InvariantError. Returns the final
-    state, the time and p_cav series, the largest norm drift, and the
-    transmitted tally at the right mirror's switch-on (None without one).
+    InvariantError; blocks of at most D steps end on those steps. Returns
+    the final state, the time and p_cav series, the largest norm drift, and
+    the transmitted tally at the right mirror's switch-on (None without one).
     """
     state = init_grid(protocol)
     n_steps = int(round(protocol.horizon / state.dx))
@@ -410,13 +447,17 @@ def _run_grid(protocol: TrapProtocol):
     if protocol.right_schedule is not None:
         t_rel = protocol.right_schedule.switch_on
         trans_at_release = 0.0
-    for k in range(n_steps):
-        step(state, protocol)
-        times[k] = state.time
-        p_cav[k] = state.p_cav
-        if t_rel is not None and state.time <= t_rel:
-            trans_at_release = state.transmitted_out
-        if k % P_CAV_CHECK_EVERY == 0 or k == n_steps - 1:
+    k = 0
+    while k < n_steps:
+        check = min(k + -k % P_CAV_CHECK_EVERY, n_steps - 1)  # next check
+        stop = min(k + state._max_block, check + 1)
+        times[k:stop], p_cav[k:stop], trans = _advance(state, protocol,
+                                                       stop - k)
+        if t_rel is not None and times[k] <= t_rel:
+            last = np.searchsorted(times[k:stop], t_rel, side="right") - 1
+            trans_at_release = trans[last]
+        k = stop
+        if k - 1 == check:
             # written so that a NaN fails both checks
             drift = abs(1.0 - norm(state))
             if not drift < math.inf:
@@ -511,11 +552,10 @@ def default_trap_protocol(
     measure = (14.0 * sx if t_off is None else t_off) + 5.0 * rt
     # 150 sigma_x = 1e5 steps at 2e4 cells; a release needs room to drain
     horizon = measure + 4.0 * rt if release else 150.0 * sx
-    left_sched = None
-    if modulated:
-        left_sched = ModulationSchedule(
-            amp_energy=amp_energy, freq=mod_freq, switch_off=t_off
-        )
+    # built for every variant, so that each refuses a non-finite modulation
+    left_sched = ModulationSchedule(
+        amp_energy=amp_energy, freq=mod_freq, switch_off=t_off
+    )
     right_sched = None
     if release:
         right_sched = ModulationSchedule(
@@ -525,7 +565,7 @@ def default_trap_protocol(
         packet=PacketSpec(bandwidth=bandwidth, launch_center=x_launch),
         left_site=EmitterSite(position=x_left),
         right_site=EmitterSite(position=x_right),
-        left_schedule=left_sched,
+        left_schedule=left_sched if modulated else None,
         right_schedule=right_sched,
         domain_length=domain,
         n_cells=n_cells,

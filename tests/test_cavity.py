@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from modscatter import (
     EmitterSite,
@@ -22,6 +23,7 @@ from modscatter import (
     run_protocol,
     step,
 )
+from modscatter import cavity
 
 
 def ballistic_protocol(bandwidth=0.05, domain_factor=24.0):
@@ -330,15 +332,15 @@ class TestCavityTally:
 
     def test_tally_drift_raises(self, monkeypatch):
         # a leak the flux tally cannot see: the recount must catch it
-        real_step = step
+        real_advance = cavity._advance
 
-        def leaky_step(state, protocol):
-            real_step(state, protocol)
+        def leaky_advance(state, protocol, n):
+            series = real_advance(state, protocol, n)
             m = int(state.positions[0]) + 5
             state.phi_R[m] *= 0.5
-            return state
+            return series
 
-        monkeypatch.setattr("modscatter.cavity.step", leaky_step)
+        monkeypatch.setattr("modscatter.cavity._advance", leaky_advance)
         proto = default_trap_protocol(bandwidth=0.1, n_cells=1500)
         with pytest.raises(InvariantError):
             run_protocol(proto)
@@ -347,18 +349,166 @@ class TestCavityTally:
     @pytest.mark.parametrize("site, offset", [(0, 0), (0, 5), (1, 5)])
     def test_nan_field_raises(self, monkeypatch, site, offset):
         # a NaN compares false with every bound: the checks must still fail
-        real_step = step
+        real_advance = cavity._advance
 
-        def nan_step(state, protocol):
-            real_step(state, protocol)
+        def nan_advance(state, protocol, n):
+            series = real_advance(state, protocol, n)
             if state.time > 300.0:
                 state.phi_R[int(state.positions[site]) + offset] = math.nan
-            return state
+            return series
 
-        monkeypatch.setattr("modscatter.cavity.step", nan_step)
+        monkeypatch.setattr("modscatter.cavity._advance", nan_advance)
         proto = default_trap_protocol(bandwidth=0.1, n_cells=1500)
         with pytest.raises(InvariantError):
             run_protocol(proto)
+
+
+def block_protocol():
+    """Both mirrors coupled, the right one detuned; both modulations switch
+    on and off inside blocks of D = 240."""
+    sx = 5.0
+    return TrapProtocol(
+        packet=PacketSpec(bandwidth=0.1, launch_center=6.0 * sx),
+        left_site=EmitterSite(position=14.0 * sx),
+        right_site=EmitterSite(position=26.0 * sx, detuning=1.2),
+        left_schedule=ModulationSchedule(amp_energy=4.81, freq=2.0,
+                                         switch_on=3.1, switch_off=70.1),
+        right_schedule=ModulationSchedule(amp_energy=3.0, freq=1.5,
+                                          switch_on=37.3, switch_off=151.1),
+        domain_length=30.0 * sx,
+        n_cells=600,
+    )
+
+
+def loaded_grid(protocol):
+    """The initial packet plus content in the left mover and the emitters."""
+    state = init_grid(protocol)
+    rng = np.random.default_rng(5)
+    noise = rng.standard_normal((2, state.n_cells)) * 0.02
+    state.phi_L = noise[0] + 1j * noise[1]
+    state.e_site = np.array([0.2 - 0.1j, -0.05j])
+    return state
+
+
+def stepped(protocol, n_steps):
+    """Reference: n_steps single steps, with the per-step series."""
+    state = loaded_grid(protocol)
+    series = []
+    for _ in range(n_steps):
+        step(state, protocol)
+        series.append((state.time, state.p_cav, state.transmitted_out))
+    return state, series
+
+
+def lab_frame_reference(protocol, state, n_steps):
+    """Independent reference: rolled lab-frame arrays and the coupling in
+    numpy-scalar arithmetic, one step at a time. Returns the final fields,
+    emitters and tallies, and the per-step (time, p_cav, transmitted)."""
+    dx, sqdx, sq2 = state.dx, math.sqrt(state.dx), math.sqrt(2.0)
+    lo, hi = (int(m) for m in state.positions)
+    R, L, e = state.phi_R.copy(), state.phi_L.copy(), state.e_site.copy()
+    t, p_cav, trans, refl = state.time, state.p_cav, 0.0, 0.0
+    series = []
+    for _ in range(n_steps):
+        trans += abs(R[-1]) ** 2 * dx
+        refl += abs(L[0]) ** 2 * dx
+        flux = -(abs(R[hi]) ** 2) - abs(L[lo]) ** 2
+        R = np.roll(R, 1)
+        R[0] = 0.0
+        L = np.roll(L, -1)
+        L[-1] = 0.0
+        flux += abs(R[lo]) ** 2 + abs(L[hi]) ** 2
+        p_cav += flux * dx
+        offsets = protocol.site_frequency_offsets(t + 0.5 * dx)
+        for i, (m, site) in enumerate(zip((lo, hi), protocol.sites())):
+            w, lam = offsets[i], sq2 * site.coupling / sqdx
+            a_r, a_l = R[m] * sqdx, L[m] * sqdx
+            p, d = (a_r + a_l) / sq2, (a_r - a_l) / sq2
+            e0 = e[i]
+            rho = math.hypot(0.5 * w, lam)
+            ph = complex(math.cos(0.5 * w * dx), -math.sin(0.5 * w * dx))
+            co, sn = math.cos(rho * dx), math.sin(rho * dx) / rho
+            e[i] = ph * (co * e0 - 1j * sn * (0.5 * w * e0 + lam * p))
+            p2 = ph * (co * p - 1j * sn * (lam * e0 - 0.5 * w * p))
+            R[m] = (p2 + d) / (sq2 * sqdx)
+            L[m] = (p2 - d) / (sq2 * sqdx)
+        t += dx
+        series.append((t, p_cav, trans))
+    return R, L, e, refl, series
+
+
+def assert_same_state(a, b):
+    np.testing.assert_array_equal(a.phi_R, b.phi_R)
+    np.testing.assert_array_equal(a.phi_L, b.phi_L)
+    np.testing.assert_array_equal(a.e_site, b.e_site)
+    assert (a.time, a.p_cav) == (b.time, b.p_cav)
+    assert (a.reflected_out, a.transmitted_out) == (
+        b.reflected_out, b.transmitted_out)
+
+
+class TestBlockAdvance:
+    """The delay-line blocks against single steps, with no tolerance."""
+
+    def test_block_limit_is_the_mirror_separation(self):
+        proto = block_protocol()
+        state = init_grid(proto)
+        m_lo, m_hi = state.positions
+        assert state._max_block == m_hi - m_lo == 240
+
+    def test_blocks_of_D_equal_single_steps_across_wraps(self):
+        proto = block_protocol()
+        D = 240
+        n_steps = 3 * proto.n_cells + 17  # three buffer wraps
+        ref, ref_series = stepped(proto, n_steps)
+        state = loaded_grid(proto)
+        series = []
+        for k in range(0, n_steps, D):
+            series += zip(*cavity._advance(state, proto, min(D, n_steps - k)))
+        assert series == ref_series
+        assert_same_state(state, ref)
+        # the test exercised what it claims: both movers and both mirrors
+        # were loaded, and the modulations switched mid-block
+        assert np.any(state.phi_L != 0.0) and np.all(state.e_site != 0.0)
+        for t in (3.1, 70.1, 37.3, 151.1):
+            assert round(t / state.dx) % D not in (0, D - 1)
+
+    def test_single_steps_equal_the_numpy_lab_frame_reference(self):
+        proto = block_protocol()
+        n_steps = 2 * proto.n_cells + 17  # two buffer wraps
+        state = loaded_grid(proto)
+        R, L, e, refl, ref_series = lab_frame_reference(proto, state,
+                                                        n_steps)
+        series = []
+        for _ in range(n_steps):
+            step(state, proto)
+            series.append((state.time, state.p_cav, state.transmitted_out))
+        assert series == ref_series
+        np.testing.assert_array_equal(state.phi_R, R)
+        np.testing.assert_array_equal(state.phi_L, L)
+        np.testing.assert_array_equal(state.e_site, e)
+        assert state.reflected_out == refl
+
+    @settings(max_examples=15, deadline=None, derandomize=True,
+              database=None)
+    @given(sizes=st.lists(st.integers(min_value=1, max_value=240),
+                          min_size=1, max_size=10))
+    def test_any_block_partition_equals_single_steps(self, sizes):
+        proto = block_protocol()
+        ref, ref_series = stepped(proto, sum(sizes))
+        state = loaded_grid(proto)
+        series = []
+        for n in sizes:
+            series += zip(*cavity._advance(state, proto, n))
+        assert series == ref_series
+        assert_same_state(state, ref)
+
+    @pytest.mark.parametrize("n", [0, -1, 241])
+    def test_block_outside_one_to_D_refused(self, n):
+        proto = block_protocol()
+        state = init_grid(proto)
+        with pytest.raises(OutOfRangeError, match="D=240"):
+            cavity._advance(state, proto, n)
+        assert state.time == 0.0
 
 
 class TestGridInputRefusals:
@@ -369,10 +519,54 @@ class TestGridInputRefusals:
         dict(bandwidth=float("inf")),
         dict(n_cells=0),
         dict(n_cells=1_000_001),
+        dict(bandwidth=1e-300),
+        dict(bandwidth=5e-155),
     ])
     def test_default_protocol_refuses(self, kwargs):
         with pytest.raises(OutOfRangeError):
             default_trap_protocol(**kwargs)
+
+    # the far tails' squared distance overflows to inf and exp(-inf) = 0,
+    # which is the value the tail has anyway
+    @pytest.mark.filterwarnings("ignore:overflow encountered in square")
+    def test_smallest_bandwidth_keeps_a_finite_packet(self):
+        # the last bandwidth accepted: 4*sigma_x^2 = 1e308 is still finite
+        proto = default_trap_protocol(bandwidth=1e-154, n_cells=1500,
+                                      modulated=False)
+        state = init_grid(proto)
+        assert np.all(np.isfinite(state.phi_R))
+        assert norm(state) == pytest.approx(1.0, abs=1e-12)
+
+    # dt = dx = 0.1 at bandwidth 0.1 on 1500 cells: the limit is pi/dt = 31.4
+    @pytest.mark.parametrize("kwargs", [
+        dict(amp_energy=31.5),
+        dict(amp_energy=-31.5),
+        dict(mod_freq=31.5),
+        dict(mod_freq=-31.5),
+        dict(amp_energy=1e308),
+        dict(mod_freq=1e308),
+    ])
+    def test_modulation_beyond_nyquist_refused(self, kwargs):
+        with pytest.raises(OutOfRangeError, match="Nyquist"):
+            default_trap_protocol(bandwidth=0.1, n_cells=1500, **kwargs)
+
+    def test_nyquist_limit_holds_on_both_mirrors(self):
+        proto = default_trap_protocol(bandwidth=0.1, n_cells=1500,
+                                      amp_energy=31.4, mod_freq=-31.4,
+                                      release=True)
+        fast = dataclasses.replace(proto.right_schedule, freq=31.5)
+        with pytest.raises(OutOfRangeError, match="Nyquist"):
+            dataclasses.replace(proto, right_schedule=fast)
+
+    @pytest.mark.parametrize("modulated, switch_off", [(False, True),
+                                                       (True, False)])
+    @pytest.mark.parametrize("field", ["amp_energy", "mod_freq"])
+    def test_every_variant_refuses_a_non_finite_modulation(
+        self, modulated, switch_off, field
+    ):
+        with pytest.raises(OutOfRangeError, match="must be finite"):
+            default_trap_protocol(modulated=modulated, switch_off=switch_off,
+                                  **{field: math.nan})
 
     def test_packet_scattering_refuses_zero_bandwidth(self):
         with pytest.raises(OutOfRangeError):

@@ -404,6 +404,7 @@ class TestTrapCommand:
         ("--bandwidth", "-0.05"),
         ("--bandwidth", "nan"),
         ("--bandwidth", "inf"),
+        ("--bandwidth", "1e-300"),
     ])
     def test_out_of_range_inputs_refused_before_running(
         self, flag, value, capsys, monkeypatch
@@ -452,16 +453,43 @@ class TestTrapCommand:
         assert "error[out-of-range]" in err
         assert field in err
 
+    @pytest.mark.parametrize("variant", ["control", "always-on"])
+    @pytest.mark.parametrize("flag", ["--amp-energy", "--mod-freq"])
+    def test_every_variant_refuses_a_non_finite_modulation(
+        self, variant, flag, capsys, monkeypatch
+    ):
+        def never_run(protocol):
+            raise AssertionError("refused modulation reached the grid")
+
+        monkeypatch.setattr("modscatter.cli.run_protocol", never_run)
+        assert main(["trap", "--cells", "1500", "--bandwidth", "0.1",
+                     "--variant", variant, flag, "nan"]) == 64
+        err = capsys.readouterr().err
+        assert "error[out-of-range]" in err
+        assert "must be finite" in err
+
+    @pytest.mark.parametrize("flag", ["--amp-energy", "--mod-freq"])
+    def test_unresolvable_modulation_refused(self, flag, capsys, monkeypatch):
+        def never_run(protocol):
+            raise AssertionError("refused modulation reached the grid")
+
+        monkeypatch.setattr("modscatter.cli.run_protocol", never_run)
+        assert main(["trap", "--cells", "1500", "--bandwidth", "0.1",
+                     flag, "1e308"]) == 64
+        err = capsys.readouterr().err
+        assert "error[out-of-range]" in err
+        assert "Nyquist" in err and "dt=0.1" in err
+
     def test_nan_field_exits_with_quality_code(self, tmp_path, capsys,
                                                monkeypatch):
-        real_step = cavity.step
+        real_advance = cavity._advance
 
-        def nan_step(state, protocol):
-            real_step(state, protocol)
+        def nan_advance(state, protocol, n):
+            series = real_advance(state, protocol, n)
             state.phi_R[int(state.positions[0]) + 5] = float("nan")
-            return state
+            return series
 
-        monkeypatch.setattr("modscatter.cavity.step", nan_step)
+        monkeypatch.setattr("modscatter.cavity._advance", nan_advance)
         out = tmp_path / "trap.csv"
         assert main(["trap", "--cells", "1500", "--bandwidth", "0.1",
                      "--out", str(out)]) == 2
