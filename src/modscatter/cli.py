@@ -28,28 +28,19 @@ from .dataio import (
     render_csv,
     render_json,
 )
-from .errors import OutOfRangeError, ScatterError
+from .errors import (
+    EXIT_INTERNAL,
+    EXIT_QUALITY,
+    EXIT_USAGE,
+    OutOfRangeError,
+    ScatterError,
+)
 from .oracles import cross_validate
 from .params import normalized_params
 from .sweeps import SweepSpec, figure_presets, run_sweep
 
 EXIT_OK = 0
-EXIT_QUALITY = 2
-EXIT_USAGE = 64
-EXIT_INTERNAL = 70
 MAX_PRECISION = 16  # %.16e gives 17 significant digits: every double round-trips
-
-_QUALITY_CODES = {
-    "truncation-failure",
-    "singular-system",
-    "invariant-violation",
-}
-_USAGE_CODES = {
-    "resolution-error",
-    "not-static",
-    "static-limit",
-    "out-of-range",
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -364,6 +355,7 @@ def cmd_oracle(args) -> int:
                 f"finite numbers (e.g. 5:2,5:8)"
             ) from None
         cases.append((amp, freq))
+    start, stop, points = parse_range(rng)
     if args.dump_config:
         sys.stdout.write(dump_config({
             "oracle": {"cases": cases_text, "delta_range": rng,
@@ -371,7 +363,6 @@ def cmd_oracle(args) -> int:
             "output": _printable_output(opts),
         }))
         return EXIT_OK
-    start, stop, points = parse_range(rng)
     deltas = np.linspace(start, stop, points)
     header = ["mod_amp_energy", "mod_freq", "max_dev_series_hb",
               "max_dev_series_td", "max_defect_series", "max_defect_hb",
@@ -421,14 +412,6 @@ def cmd_trap(args) -> int:
     stride = _pick(args.series_stride, t_cfg, "series_stride", 10, int)
     if stride < 1:
         raise OutOfRangeError(f"series stride {stride} must be >= 1")
-    if args.dump_config:
-        sys.stdout.write(dump_config({
-            "trap": {"bandwidth": bandwidth, "amp_energy": amp,
-                     "mod_freq": freq, "cells": cells, "variant": variant,
-                     "release": release, "series_stride": stride},
-            "output": _printable_output(opts),
-        }))
-        return EXIT_OK
     protocol = default_trap_protocol(
         bandwidth=bandwidth,
         amp_energy=amp,
@@ -438,6 +421,14 @@ def cmd_trap(args) -> int:
         switch_off=(variant != "always-on"),
         release=release,
     )
+    if args.dump_config:
+        sys.stdout.write(dump_config({
+            "trap": {"bandwidth": bandwidth, "amp_energy": amp,
+                     "mod_freq": freq, "cells": cells, "variant": variant,
+                     "release": release, "series_stride": stride},
+            "output": _printable_output(opts),
+        }))
+        return EXIT_OK
     report = run_protocol(protocol)
     meta = {
         "generator": f"modscatter {__version__}",
@@ -529,11 +520,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except ScatterError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
-        if exc.code in _QUALITY_CODES:
-            return EXIT_QUALITY
-        if exc.code in _USAGE_CODES:
-            return EXIT_USAGE
-        return EXIT_INTERNAL
+        return exc.exit_code
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

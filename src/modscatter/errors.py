@@ -1,16 +1,22 @@
 """Error types shared across the engine.
 
-Every failure mode carries a stable ``code`` string so callers (and the CLI)
-can react without string-matching messages.
+Every failure mode carries a stable ``code`` string so callers can react
+without string-matching messages, and the ``exit_code`` the CLI returns for
+it: a numerical-quality failure, a usage error or an internal error.
 """
 
 from __future__ import annotations
+
+EXIT_QUALITY = 2
+EXIT_USAGE = 64
+EXIT_INTERNAL = 70
 
 
 class ScatterError(Exception):
     """Base class for all engine errors."""
 
     code = "internal"
+    exit_code = EXIT_INTERNAL
 
 
 class StaticLimitError(ScatterError):
@@ -18,18 +24,21 @@ class StaticLimitError(ScatterError):
     modulation frequency; callers must use the static-limit routines."""
 
     code = "static-limit"
+    exit_code = EXIT_USAGE
 
 
 class OutOfRangeError(ScatterError):
     """Argument outside the validated accuracy domain."""
 
     code = "out-of-range"
+    exit_code = EXIT_USAGE
 
 
 class TruncationError(ScatterError):
     """Series truncation failed to converge below the requested tolerance."""
 
     code = "truncation-failure"
+    exit_code = EXIT_QUALITY
 
     def __init__(self, message: str, achieved_defect: float | None = None):
         super().__init__(message)
@@ -40,21 +49,25 @@ class NotStaticError(ScatterError):
     """Static-limit routine called with active modulation."""
 
     code = "not-static"
+    exit_code = EXIT_USAGE
 
 
 class SingularSystemError(ScatterError):
     """Linear system has a singular pivot (only possible at zero coupling)."""
 
     code = "singular-system"
+    exit_code = EXIT_QUALITY
 
 
 class ResolutionError(ScatterError):
     """Grid too coarse to resolve the packet envelope."""
 
     code = "resolution-error"
+    exit_code = EXIT_USAGE
 
 
 class InvariantError(ScatterError):
     """An incrementally updated quantity disagrees with its recount."""
 
     code = "invariant-violation"
+    exit_code = EXIT_QUALITY

@@ -81,25 +81,55 @@ def build_harmonic_balance(
     )
 
 
+def _solve_tridiagonal(dl, d, du, b) -> list[complex]:
+    """Solve the tridiagonal system (subdiagonal dl, diagonal d and
+    superdiagonal du, sequences of Python complex) for the right side b.
+
+    Gaussian elimination with partial pivoting, the LAPACK zgtsv algorithm
+    (Golub & Van Loan, Matrix Computations, sec. 4.3): the row with the
+    larger |re| + |im| in the pivot column becomes the pivot row. A swap
+    fills a second superdiagonal, so each row of U is (pivot, first and
+    second superdiagonal, right side), zero past the end, and no row is a
+    special case. Raises SingularSystemError on a zero pivot.
+    """
+    rows = []
+    dk, uk, bk = d[0], du[0] if du else 0j, b[0]
+    for lo, d1, du1, b1 in zip(dl, d[1:], [*du[1:], 0j], b[1:]):
+        if abs(lo.real) + abs(lo.imag) > abs(dk.real) + abs(dk.imag):
+            m = dk / lo  # swap: row k+1 pivots, row k is eliminated
+            rows.append((lo, d1, du1, b1))
+            dk, uk, bk = uk - m * d1, -m * du1, bk - m * b1
+        else:
+            rows.append((dk, uk, 0j, bk))
+            if lo:
+                m = lo / dk
+                d1, b1 = d1 - m * uk, b1 - m * bk
+            dk, uk, bk = d1, du1, b1
+    rows.append((dk, 0j, 0j, bk))
+    if any(row[0] == 0 for row in rows):
+        raise SingularSystemError("tridiagonal solve met a zero pivot")
+    x, x1, x2 = [], 0j, 0j
+    for piv, u1, u2, y in reversed(rows):
+        x1, x2 = (y - u1 * x1 - u2 * x2) / piv, x1
+        x.append(x1)
+    return x[::-1]
+
+
 def harmonic_balance_solve(
     params: EmitterParams, detuning: float, order: int
 ) -> ExcitationSpectrum:
-    """Solve the tridiagonal system with banded LU and verify the residual."""
-    from scipy.linalg import solve_banded  # deferred: 0.3 s to import
-
+    """Solve the tridiagonal system with partial pivoting and verify the
+    residual."""
     if params.gamma == 0:
         raise SingularSystemError("zero coupling makes the system singular")
     sys_ = build_harmonic_balance(params, detuning, order)
-    m = 2 * order + 1
-    ab = np.zeros((3, m), complex)
-    ab[0, 1:] = sys_.off_diagonal
-    ab[1, :] = sys_.diagonal
-    ab[2, :-1] = sys_.off_diagonal
-    e = solve_banded((1, 1), ab, sys_.rhs)
+    off = [complex(sys_.off_diagonal)] * (2 * order)
+    e = np.array(_solve_tridiagonal(off, sys_.diagonal.tolist(), off,
+                                    sys_.rhs.tolist()))
     resid = np.max(np.abs(sys_.matvec(e) - sys_.rhs)) / np.max(np.abs(sys_.rhs))
     if not resid < RESIDUAL_TOL:
         raise SingularSystemError(
-            f"banded solve residual {resid:.3e} exceeds {RESIDUAL_TOL:g}"
+            f"tridiagonal solve residual {resid:.3e} exceeds {RESIDUAL_TOL:g}"
         )
     return ExcitationSpectrum(ns=np.arange(-order, order + 1), coeffs=e)
 

@@ -211,18 +211,55 @@ class TestPointLimit:
 
 
 def test_error_codes_map_one_to_one_onto_exit_classes():
-    """Each error type's code is either a quality or a usage failure, and
-    every listed code belongs to an existing error type."""
+    """Each error type carries its own exit class: a quality failure (2) or
+    a usage error (64), with only the base class an internal error (70);
+    main returns it."""
+    exits = {
+        modscatter.ScatterError: 70,
+        modscatter.TruncationError: 2,
+        modscatter.SingularSystemError: 2,
+        modscatter.InvariantError: 2,
+        modscatter.ResolutionError: 64,
+        modscatter.NotStaticError: 64,
+        modscatter.StaticLimitError: 64,
+        modscatter.OutOfRangeError: 64,
+    }
 
     def subclasses(cls):
         for sub in cls.__subclasses__():
             yield sub
             yield from subclasses(sub)
 
-    codes = {cls.code for cls in subclasses(modscatter.ScatterError)}
-    for code in codes:
-        assert (code in cli._QUALITY_CODES) != (code in cli._USAGE_CODES), code
-    assert cli._QUALITY_CODES | cli._USAGE_CODES == codes
+    assert set(subclasses(modscatter.ScatterError)) | {
+        modscatter.ScatterError} == set(exits)
+    assert len({cls.code for cls in exits}) == len(exits)
+    for cls, code in exits.items():
+        assert cls.exit_code == code, cls
+
+
+@pytest.mark.parametrize("cls", [modscatter.ScatterError,
+                                 modscatter.TruncationError,
+                                 modscatter.OutOfRangeError])
+def test_main_returns_the_error_exit_code(cls, monkeypatch, capsys):
+    def fail(args):
+        raise cls("boom")
+
+    monkeypatch.setattr(cli, "cmd_presets", fail)
+    assert main(["presets"]) == cls.exit_code
+    assert f"error[{cls.code}]: boom" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["trap", "--variant", "control", "--amp-energy", "nan"],
+    ["trap", "--bandwidth", "1e-300"],
+    ["trap", "--cells", "0"],
+    ["trap", "--mod-freq", "1e308"],
+    ["oracle", "--delta-range", "0:1:1000000000"],
+    ["oracle", "--delta-range", "0:1:1"],
+])
+def test_dump_config_refuses_what_a_run_refuses(argv, capsys):
+    assert main(argv + ["--dump-config"]) == 64
+    assert capsys.readouterr().out == ""
 
 
 class TestConfigFile:
@@ -361,13 +398,25 @@ class TestOracleCommand:
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy serves only the harmonic-balance solve and is imported there
+    # numpy is the only runtime dependency: with scipy made unimportable the
+    # harmonic-balance routes (oracle, spectrum --method both) still run
     src = str(Path(modscatter.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
     probe = "import sys, modscatter.cli; print('scipy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+    runs = (
+        ["oracle", "--cases", "5:2", "--delta-range", "-1:1:3"],
+        ["spectrum", "--axis", "detuning", "--range", "-5:5:21",
+         "--mod-amp-energy", "5", "--mod-freq", "2", "--method", "both"],
+    )
+    for argv in runs:
+        blocked = ("import sys; sys.modules['scipy'] = None; "
+                   f"from modscatter.cli import main; sys.exit(main({argv!r}))")
+        out = subprocess.run([sys.executable, "-c", blocked], env=env,
+                             capture_output=True, text=True)
+        assert out.returncode == 0, (argv, out.stderr)
 
 
 class TestTrapCommand:

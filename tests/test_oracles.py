@@ -100,6 +100,73 @@ class TestHarmonicBalanceSolve:
         with pytest.raises(SingularSystemError):
             harmonic_balance_solve(dark, 0.0, order=4)
 
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              database=None)
+    @given(
+        amp=st.floats(min_value=0.0, max_value=10.0),
+        freq=st.floats(min_value=0.1, max_value=20.0),
+        delta=st.floats(min_value=-10.0, max_value=10.0),
+    )
+    def test_hypothesis_matches_series_route(self, amp, freq, delta):
+        # the ladder runs to twice the series window: cut at the window
+        # itself it is too short where |delta|/omega nears u (5.7e-7 off
+        # at f*Omega = 10, omega = 0.3, delta = -10)
+        p = normalized_params(amp, freq)
+        sset = evaluate_sidebands(p, delta)
+        n = int(sset.ns[-1])
+        hb_set = amplitudes_from_excitation(
+            harmonic_balance_solve(p, delta, order=2 * n), p, delta
+        )
+        assert np.max(np.abs(hb_set.r[n : 3 * n + 1] - sset.r)) < 1e-8
+
+
+def dense(dl, d, du):
+    return np.diag(d) + np.diag(dl, -1) + np.diag(du, 1)
+
+
+def assert_solves(dl, d, du, b):
+    """The pivoted solve against numpy's dense LU: a scaled residual below
+    1e-13, and agreement with the dense solution to within the condition
+    number times 1e-13."""
+    a = dense(dl, d, du)
+    x = np.array(oracles._solve_tridiagonal(dl.tolist(), d.tolist(),
+                                            du.tolist(), b.tolist()))
+    ref = np.linalg.solve(a, b)
+    scale = np.linalg.norm(a, np.inf) * np.max(np.abs(x)) + np.max(np.abs(b))
+    assert np.max(np.abs(a @ x - b)) < 1e-13 * scale
+    bound = 1e-13 * np.linalg.cond(a, np.inf) * np.max(np.abs(ref))
+    assert np.max(np.abs(x - ref)) < bound
+
+
+def random_complex(rng, n):
+    return rng.normal(size=n) + 1j * rng.normal(size=n)
+
+
+class TestTridiagonalSolve:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 50])
+    def test_matches_dense_solve_on_random_systems(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            dl, du = random_complex(rng, n - 1), random_complex(rng, n - 1)
+            d, b = random_complex(rng, n), random_complex(rng, n)
+            assert np.all(dl != 0) and np.all(du != 0) and b[-1] != 0
+            assert_solves(dl, d, du, b)
+
+    def test_zero_diagonal_needs_pivoting(self):
+        # nonsingular through its off-diagonals; elimination without row
+        # swaps divides by the zero at d[0]
+        d = np.array([0.0, 2.0 - 1.0j, 0.0, 1.0j, 1.5])
+        dl = np.array([1.0 + 0.5j, -2.0, 0.5j, 3.0])
+        du = np.array([2.0j, 1.0 - 1.0j, -1.5, 0.25 + 1.0j])
+        b = np.array([1.0, -1.0j, 2.0, 0.5 + 0.5j, -3.0])
+        assert abs(np.linalg.det(dense(dl, d, du))) > 1e-3
+        assert_solves(dl, d, du, b)
+
+    def test_zero_pivot_is_singular(self):
+        with pytest.raises(SingularSystemError):
+            oracles._solve_tridiagonal([1 + 0j], [1 + 0j, 1 + 0j],
+                                       [1 + 0j], [1 + 0j, 2 + 0j])
+
 
 class TestTimeDomain:
     def test_dark_emitter_stays_dark(self):
