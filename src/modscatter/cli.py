@@ -36,7 +36,7 @@ from .errors import (
     ScatterError,
 )
 from .oracles import cross_validate
-from .params import normalized_params
+from .params import OMEGA_RATIO, normalized_params
 from .sweeps import SweepSpec, figure_presets, run_sweep
 
 EXIT_OK = 0
@@ -200,12 +200,12 @@ def _emit(args, meta, header, rows, opts, summary: str) -> None:
         print(summary, file=sys.stderr)
 
 
-def _gamma_scale(args, cfg) -> float:
-    """Raw-units conversion factor: gamma computed from V and v_g."""
+def _raw_gamma(args, cfg) -> float | None:
+    """gamma = V^2/v_g under --raw-units, None in gamma-normalized units."""
     p_cfg = cfg.get("params", {})
     raw = _pick(args.raw_units, p_cfg, "raw_units", False, bool)
     if not raw:
-        return 1.0
+        return None
     v = _pick(args.coupling, p_cfg, "coupling", None, float)
     vg = _pick(args.group_velocity, p_cfg, "group_velocity", None, float)
     if v is None or vg is None or v <= 0 or vg <= 0:
@@ -217,7 +217,8 @@ def _gamma_scale(args, cfg) -> float:
 def _sweep_spec_from(args, cfg) -> SweepSpec:
     p_cfg = cfg.get("params", {})
     s_cfg = cfg.get("sweep", {})
-    gamma = _gamma_scale(args, cfg)
+    raw_gamma = _raw_gamma(args, cfg)
+    gamma = 1.0 if raw_gamma is None else raw_gamma
     preset = _pick(args.preset, s_cfg, "preset", None, str)
     orders = ()
     orders_explicit = getattr(args, "orders", None) is not None
@@ -239,8 +240,8 @@ def _sweep_spec_from(args, cfg) -> SweepSpec:
         if axis is None or rng is None:
             raise ValueError("need --preset, or both --axis and --range")
         start, stop, points = parse_range(rng)
-        omega_ratio = 1000.0
-        if gamma != 1.0:
+        omega_ratio = OMEGA_RATIO
+        if raw_gamma is not None:
             omega_a = _pick(args.omega_a, p_cfg, "omega_a", None, float)
             if omega_a is not None:
                 omega_ratio = omega_a / gamma
@@ -489,6 +490,16 @@ def _printable_output(opts) -> dict:
 
 
 def _dump_sweep_config(spec: SweepSpec, opts) -> str:
+    params: dict = {
+        "detuning": spec.detuning,
+        "mod_amp_energy": spec.mod_amp_energy,
+        "mod_freq": spec.mod_freq,
+    }
+    if spec.omega_ratio != OMEGA_RATIO:
+        # Omega/gamma is set only in raw units; at V = v_g = 1 (gamma = 1)
+        # the normalized values above replay unchanged
+        params.update(raw_units=True, coupling=1.0, group_velocity=1.0,
+                      omega_a=spec.omega_ratio)
     sweep: dict = {}
     if spec.name in figure_presets():
         sweep["preset"] = spec.name
@@ -499,11 +510,7 @@ def _dump_sweep_config(spec: SweepSpec, opts) -> str:
         "orders": ",".join(str(n) for n in spec.sideband_orders),
     })
     return dump_config({
-        "params": {
-            "detuning": spec.detuning,
-            "mod_amp_energy": spec.mod_amp_energy,
-            "mod_freq": spec.mod_freq,
-        },
+        "params": params,
         "sweep": sweep,
         "output": _printable_output(opts),
     })

@@ -318,8 +318,10 @@ def cross_validate(
 
     The comparison window is the time-domain sideband range (the narrowest);
     outside it the other two routes have only exponentially small content.
+    The series tables are built once per call and shared by every detuning.
     """
     deltas = np.atleast_1d(np.asarray(detuning, float))
+    tables: dict = {}
     n_td = 12 if params.mod_amp > 0 else 4
     trace = time_domain_excitation(params, deltas)
     td_spec = fourier_extract(trace, n_td)
@@ -329,7 +331,7 @@ def cross_validate(
     d_hb = np.empty(len(deltas))
     d_td = np.empty(len(deltas))
     for j, d in enumerate(deltas):
-        sset = evaluate_sidebands(params, d, tol=1e-11)
+        sset = evaluate_sidebands(params, d, tol=1e-11, tables=tables)
         hb = harmonic_balance_solve(params, d, order=int(sset.ns[-1]))
         hb_set = amplitudes_from_excitation(hb, params, d)
         td_coeffs = td_spec.coeffs[:, j]

@@ -95,20 +95,42 @@ def _bessel_window(u: float, k_max: int) -> np.ndarray:
     return np.concatenate([neg, pos])
 
 
-def _series_r(params: EmitterParams, detuning: float, trunc: TruncationSpec) -> np.ndarray:
-    """Reflection amplitudes r_n for n in [-N, N] by direct series summation."""
+def _series_tables(u: float, mod_freq: float, N: int, L: int) -> tuple:
+    """The detuning-independent parts of the series at one (u, omega, N, L):
+    J_l(u) for l in [-L, L], the (2N+1, 2L+1) lookup J_{n+l}(u) and
+    l*omega."""
+    jw = _bessel_window(u, N + L)  # indices k+N+L
+    ns = np.arange(-N, N + 1)
+    ls = np.arange(-L, L + 1)
+    # J_{n+l} as a (2N+1, 2L+1) lookup into the same window
+    jnl = jw[(ns[:, None] + ls[None, :]) + N + L]
+    return jw[ls + N + L], jnl, ls * mod_freq
+
+
+def _series_r(
+    params: EmitterParams,
+    detuning: float,
+    trunc: TruncationSpec,
+    tables: dict | None = None,
+) -> np.ndarray:
+    """Reflection amplitudes r_n for n in [-N, N] by direct series summation.
+
+    With a `tables` dict the u-dependent tables are looked up there and
+    stored on a miss; the dict holds one u at a time, so a new u clears it.
+    """
     gamma = params.gamma
     N, L = trunc.sideband_max, trunc.sum_max
-    ns = np.arange(-N, N + 1)
     if params.coupling == 0:
         return np.zeros(2 * N + 1, complex)
     u = modulation_index(params)
-    jw = _bessel_window(u, N + L)  # indices k+N+L
-    ls = np.arange(-L, L + 1)
-    jl = jw[ls + N + L]
-    weights = jl / (detuning - ls * params.mod_freq + 1j * gamma)
-    # J_{n+l} as a (2N+1, 2L+1) lookup into the same window
-    jnl = jw[(ns[:, None] + ls[None, :]) + N + L]
+    tables = {} if tables is None else tables
+    key = (u, params.mod_freq, N, L)
+    if key not in tables:
+        if any(k[0] != u for k in tables):
+            tables.clear()
+        tables[key] = _series_tables(*key)
+    jl, jnl, lw = tables[key]
+    weights = jl / (detuning - lw + 1j * gamma)
     return -1j * gamma * (jnl @ weights)
 
 
@@ -148,11 +170,14 @@ def _assemble(
     )
 
 
-def reflection_amplitudes(params: EmitterParams, query: ScatteringQuery) -> SidebandSet:
+def reflection_amplitudes(
+    params: EmitterParams, query: ScatteringQuery, *, tables: dict | None = None
+) -> SidebandSet:
     """Evaluate the sideband amplitudes at the query's truncation.
 
     The returned set carries both r_n and t_n (one series evaluation; the
     transmission side is the structural identity, never a second sum).
+    `tables` is an optional per-sweep dict of series tables (see _series_r).
     """
     if params.mod_freq == 0:
         raise StaticLimitError(
@@ -160,7 +185,7 @@ def reflection_amplitudes(params: EmitterParams, query: ScatteringQuery) -> Side
         )
     trunc = query.truncation
     ns = np.arange(-trunc.sideband_max, trunc.sideband_max + 1)
-    r = _series_r(params, query.detuning, trunc)
+    r = _series_r(params, query.detuning, trunc, tables)
     return _assemble(params, query.detuning, trunc, ns, r)
 
 
@@ -203,7 +228,11 @@ def static_limit_amplitudes(params: EmitterParams, detuning: float) -> SidebandS
 
 
 def auto_truncation(
-    params: EmitterParams, detuning: float, tol: float = 1e-10
+    params: EmitterParams,
+    detuning: float,
+    tol: float = 1e-10,
+    *,
+    tables: dict | None = None,
 ) -> SidebandSet:
     """The first sideband set whose unitarity defect is below tol.
 
@@ -220,7 +249,9 @@ def auto_truncation(
     best_defect = np.inf
     while True:
         trunc = TruncationSpec(sideband_max=n, sum_max=n + 8)
-        sset = reflection_amplitudes(params, ScatteringQuery(detuning, trunc))
+        sset = reflection_amplitudes(
+            params, ScatteringQuery(detuning, trunc), tables=tables
+        )
         best_defect = min(best_defect, sset.unitarity_defect)
         if sset.unitarity_defect < tol:
             return sset
@@ -238,13 +269,19 @@ def evaluate_sidebands(
     detuning: float,
     truncation: TruncationSpec | None = None,
     tol: float = 1e-10,
+    *,
+    tables: dict | None = None,
 ) -> SidebandSet:
     """Main entry point: route to the static limit or the modulated series.
 
     With no explicit truncation the series is auto-truncated against tol.
+    A caller that evaluates many detunings at one modulation passes the same
+    `tables` dict to each call, so the Bessel tables are built once per u.
     """
     if params.mod_freq == 0:
         return static_limit_amplitudes(params, detuning)
     if truncation is None:
-        return auto_truncation(params, detuning, tol)
-    return reflection_amplitudes(params, ScatteringQuery(detuning, truncation))
+        return auto_truncation(params, detuning, tol, tables=tables)
+    return reflection_amplitudes(
+        params, ScatteringQuery(detuning, truncation), tables=tables
+    )

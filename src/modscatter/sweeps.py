@@ -14,7 +14,7 @@ import numpy as np
 
 from .dataio import MAX_POINTS
 from .errors import OutOfRangeError, TruncationError
-from .params import EmitterParams, normalized_params
+from .params import OMEGA_RATIO, EmitterParams, normalized_params
 from .oracles import amplitudes_from_excitation, harmonic_balance_solve
 from .scattering import SidebandSet, evaluate_sidebands
 
@@ -37,7 +37,7 @@ class SweepSpec:
     sideband_orders: tuple[int, ...] = ()
     method: str = "series"
     name: str = ""
-    omega_ratio: float = 1000.0
+    omega_ratio: float = OMEGA_RATIO
 
     def __post_init__(self):
         if self.axis not in AXES:
@@ -125,11 +125,13 @@ def _observables_for_row(
     return row
 
 
-def _eval_point(spec: SweepSpec, value: float) -> tuple[dict[str, float], int, bool]:
+def _eval_point(
+    spec: SweepSpec, value: float, tables: dict
+) -> tuple[dict[str, float], int, bool]:
     params, delta = spec.params_at(value)
     flagged = False
     try:
-        sset = evaluate_sidebands(params, delta)
+        sset = evaluate_sidebands(params, delta, tables=tables)
     except TruncationError:
         # keep sweeping; the row is flagged and carries NaNs
         nan_row = dict.fromkeys(("T", "R", "unitarity_defect"), float("nan"))
@@ -158,9 +160,14 @@ def _eval_point(spec: SweepSpec, value: float) -> tuple[dict[str, float], int, b
 
 
 def run_sweep(spec: SweepSpec) -> SpectrumDataset:
-    """Evaluate the sweep point by point, rows in axis order."""
+    """Evaluate the sweep point by point, rows in axis order.
+
+    The rows share one dict of series tables for the length of the call, so
+    along a detuning axis the Bessel tables are built once, not per row.
+    """
     values = spec.axis_values()
-    results = [_eval_point(spec, v) for v in values]
+    tables: dict = {}
+    results = [_eval_point(spec, v, tables) for v in values]
     names = list(results[0][0].keys())
     columns = {
         name: np.array([row[name] for row, _, _ in results]) for name in names

@@ -12,6 +12,13 @@ from modscatter import cavity, cli
 from modscatter.cli import main
 
 
+# Omega = 40 gamma puts sidebands of a 40-gamma modulation at negative
+# frequency, which warns; the default Omega = 1000 gamma does not
+OMEGA_A_RUN = ["spectrum", "--axis", "detuning", "--range", "-4:4:5",
+               "--mod-amp-energy", "2", "--mod-freq", "40", "--raw-units",
+               "--coupling", "1", "--group-velocity", "1", "--omega-a", "40"]
+
+
 def read_csv(path):
     meta = {}
     rows = []
@@ -122,6 +129,12 @@ class TestSpectrumCommand:
         _, _, t_norm = read_csv(norm)
         _, _, t_raw = read_csv(raw)
         np.testing.assert_allclose(t_raw["T"], t_norm["T"], rtol=0, atol=1e-12)
+
+    def test_omega_a_applies_at_unit_gamma(self, tmp_path):
+        # V = v_g = 1 gives gamma = 1 exactly; --omega-a must still set Omega
+        out = tmp_path / "raw.csv"
+        with pytest.warns(UserWarning, match="non-positive frequency"):
+            assert main(OMEGA_A_RUN + ["--out", str(out)]) == 0
 
     def test_raw_units_require_coupling(self):
         code = main([
@@ -263,6 +276,19 @@ def test_dump_config_refuses_what_a_run_refuses(argv, capsys):
 
 
 class TestConfigFile:
+    def test_dump_config_keeps_omega_a(self, tmp_path, capsys):
+        first, replay = tmp_path / "first.csv", tmp_path / "replay.csv"
+        with pytest.warns(UserWarning, match="non-positive frequency"):
+            assert main(OMEGA_A_RUN + ["--out", str(first)]) == 0
+        capsys.readouterr()
+        assert main(OMEGA_A_RUN + ["--dump-config"]) == 0
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(capsys.readouterr().out)
+        with pytest.warns(UserWarning, match="non-positive frequency"):
+            assert main(["spectrum", "--config", str(cfg),
+                         "--out", str(replay)]) == 0
+        assert replay.read_bytes() == first.read_bytes()
+
     def test_dump_config_round_trips(self, tmp_path, capsys):
         argv = ["spectrum", "--axis", "detuning", "--range", "-1:1:3",
                 "--mod-amp-energy", "5", "--mod-freq", "2"]

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import math
 
 import numpy as np
@@ -21,7 +22,9 @@ from modscatter import (
     periodicity_defect,
     time_domain_excitation,
 )
+from conftest import count_bessel_calls, table_refs, without_tables
 from modscatter import oracles
+from modscatter.cli import main
 
 
 class TestHarmonicBalanceStructure:
@@ -392,3 +395,34 @@ class TestCrossValidation:
         np.testing.assert_array_equal(report.detunings, deltas)
         assert report.dev_series_hb.shape == deltas.shape
         assert report.dev_series_td.shape == deltas.shape
+
+
+class TestSeriesTablesPerCall:
+    """cross_validate builds the series tables once per call, not per detuning."""
+
+    def test_default_grid_csv_is_byte_identical(self, monkeypatch, tmp_path):
+        shared, per_row = tmp_path / "shared.csv", tmp_path / "per_row.csv"
+        assert main(["oracle", "--precision", "16", "--out", str(shared)]) == 0
+        without_tables(monkeypatch, oracles)
+        assert main(["oracle", "--precision", "16", "--out", str(per_row)]) == 0
+        assert per_row.read_bytes() == shared.read_bytes()
+
+    # u = 2.5 takes the Bessel power series, u = 12 Miller
+    @pytest.mark.parametrize("amp, freq", [(5.0, 2.0), (12.0, 1.0)])
+    def test_one_bessel_call_per_distinct_window(self, monkeypatch, amp, freq):
+        params, deltas = normalized_params(amp, freq), np.linspace(-10, 10, 21)
+        calls = count_bessel_calls(monkeypatch)
+        cross_validate(params, deltas)
+        shared = list(calls)
+        calls.clear()
+        without_tables(monkeypatch, oracles)
+        cross_validate(params, deltas)
+        assert len(calls) >= len(deltas)
+        assert sorted(shared) == sorted(set(calls))
+
+    def test_no_table_outlives_the_call(self, monkeypatch, params_reference):
+        refs = table_refs(monkeypatch)
+        cross_validate(params_reference, np.linspace(-10, 10, 21))
+        gc.collect()
+        assert refs
+        assert all(ref() is None for ref in refs)

@@ -236,8 +236,8 @@ class TestOneSeriesEvaluationPerPoint:
         calls = []
         series = scattering.reflection_amplitudes
 
-        def counted(params, query):
-            sset = series(params, query)
+        def counted(params, query, **kwargs):
+            sset = series(params, query, **kwargs)
             calls.append(query.truncation.sideband_max)
             if len(calls) <= unconverged:
                 # a defect above any tolerance makes the truncation double

@@ -1,6 +1,11 @@
+import gc
+
 import numpy as np
 import pytest
 
+from conftest import count_bessel_calls, table_refs, without_tables
+from modscatter import scattering, sweeps
+from modscatter.cli import main
 from modscatter import (
     OutOfRangeError,
     SweepSpec,
@@ -151,3 +156,92 @@ class TestSidebandResolved:
     def test_out_of_window_order_reports_zero(self, params_unmodulated):
         out = sideband_resolved(params_unmodulated, 0.5, (250,))
         assert out["T_250"] == 0.0
+
+
+# u = f*Omega/omega = 2.5 takes the Bessel power series, u = 12 Miller
+SERIES_SWEEP = ["spectrum", "--axis", "detuning", "--range=-10:10:401",
+                "--mod-amp-energy", "5", "--mod-freq", "2"]
+MILLER_SWEEP = ["sidebands", "--axis", "detuning", "--range=-10:10:401",
+                "--mod-amp-energy", "12", "--mod-freq", "1"]
+# the resonance at Delta = -30 omega doubles N on part of the axis
+DOUBLING_SWEEP = ["spectrum", "--axis", "detuning", "--range=-30:30:201",
+                  "--mod-amp-energy", "30", "--mod-freq", "1"]
+AMP_SWEEP = SweepSpec(axis="mod_amp_energy", start=0.1, stop=30.0, points=101,
+                      detuning=2.0, mod_freq=1.3)
+AMP_SWEEP_ARGV = ["spectrum", "--axis", "mod_amp_energy", "--range", "0.1:30:101",
+                  "--detuning", "2", "--mod-freq", "1.3", "--method", "both"]
+
+
+class TestSeriesTablesPerSweep:
+    """run_sweep builds the u-dependent series tables once per sweep call."""
+
+    @staticmethod
+    def csv_bytes(tmp_path, argv, name):
+        out = tmp_path / name
+        assert main(argv + ["--precision", "16", "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    @pytest.mark.parametrize("argv", [
+        SERIES_SWEEP,
+        MILLER_SWEEP,
+        ["spectrum", *MILLER_SWEEP[1:], "--method", "both"],
+        DOUBLING_SWEEP,
+        AMP_SWEEP_ARGV,
+    ], ids=["series", "miller", "miller-both", "doubling", "mod_amp_energy"])
+    def test_output_is_byte_identical_to_per_row_tables(
+        self, monkeypatch, tmp_path, argv
+    ):
+        shared = self.csv_bytes(tmp_path, argv, "shared.csv")
+        without_tables(monkeypatch, sweeps)
+        assert self.csv_bytes(tmp_path, argv, "per_row.csv") == shared
+
+    @pytest.mark.parametrize("argv, points, keys", [
+        (SERIES_SWEEP, 401, 1), (MILLER_SWEEP, 401, 1), (DOUBLING_SWEEP, 201, 2),
+    ], ids=["series", "miller", "doubling"])
+    def test_one_bessel_call_per_distinct_window(
+        self, monkeypatch, tmp_path, argv, points, keys
+    ):
+        calls = count_bessel_calls(monkeypatch)
+        self.csv_bytes(tmp_path, argv, "shared.csv")
+        shared = list(calls)
+        calls.clear()
+        without_tables(monkeypatch, sweeps)
+        self.csv_bytes(tmp_path, argv, "per_row.csv")
+        assert len(calls) >= points  # at least one per row
+        assert len(set(calls)) == keys
+        assert sorted(shared) == sorted(set(calls))
+
+    def test_amplitude_axis_builds_no_more_tables(self, monkeypatch):
+        calls = count_bessel_calls(monkeypatch)
+        run_sweep(AMP_SWEEP)
+        shared = len(calls)
+        calls.clear()
+        without_tables(monkeypatch, sweeps)
+        run_sweep(AMP_SWEEP)
+        assert shared <= len(calls)
+
+    @pytest.mark.parametrize("spec", [
+        SweepSpec(axis="detuning", start=-10.0, stop=10.0, points=41,
+                  mod_amp_energy=12.0, mod_freq=1.0, method="both"),
+        AMP_SWEEP,
+    ], ids=["detuning", "mod_amp_energy"])
+    def test_no_table_outlives_the_call(self, monkeypatch, spec):
+        refs = table_refs(monkeypatch)
+        run_sweep(spec)
+        gc.collect()
+        assert refs
+        assert all(ref() is None for ref in refs)
+
+    def test_tables_hold_one_u_at_a_time(self, monkeypatch):
+        seen = []
+        plain = scattering.evaluate_sidebands
+
+        def watched(*args, tables, **kwargs):
+            out = plain(*args, tables=tables, **kwargs)
+            seen.append(({key[0] for key in tables}, len(tables)))
+            return out
+
+        monkeypatch.setattr(sweeps, "evaluate_sidebands", watched)
+        run_sweep(AMP_SWEEP)
+        assert len(seen) == AMP_SWEEP.points
+        assert all(len(us) == 1 and n <= 6 for us, n in seen)
