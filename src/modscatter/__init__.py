@@ -16,22 +16,20 @@ from .errors import (
 )
 from .params import (
     EmitterParams,
-    ScatteringQuery,
     TruncationSpec,
     normalized_params,
 )
-from .bessel import bessel_j, bessel_j_sequence
+from .bessel import bessel_j_sequence
 from .scattering import (
-    ExcitationSpectrum,
     SidebandSet,
     auto_truncation,
     evaluate_sidebands,
-    excitation_coefficients,
     modulation_index,
     reflection_amplitudes,
     static_limit_amplitudes,
 )
 from .oracles import (
+    ExcitationSpectrum,
     HarmonicBalanceSystem,
     TimeDomainTrace,
     ValidationReport,
@@ -43,7 +41,7 @@ from .oracles import (
     periodicity_defect,
     time_domain_excitation,
 )
-from .sweeps import SpectrumDataset, SweepSpec, figure_presets, run_sweep, sideband_resolved
+from .sweeps import SpectrumDataset, SweepSpec, figure_presets, run_sweep
 from .cavity import (
     EmitterSite,
     GridState,
@@ -51,7 +49,6 @@ from .cavity import (
     PacketSpec,
     TrapProtocol,
     TrapReport,
-    convolution_oracle,
     default_trap_protocol,
     init_grid,
     norm,
@@ -70,19 +67,16 @@ __all__ = [
     "StaticLimitError",
     "TruncationError",
     "EmitterParams",
-    "ScatteringQuery",
     "TruncationSpec",
     "normalized_params",
-    "bessel_j",
     "bessel_j_sequence",
-    "ExcitationSpectrum",
     "SidebandSet",
     "auto_truncation",
     "evaluate_sidebands",
-    "excitation_coefficients",
     "modulation_index",
     "reflection_amplitudes",
     "static_limit_amplitudes",
+    "ExcitationSpectrum",
     "HarmonicBalanceSystem",
     "TimeDomainTrace",
     "ValidationReport",
@@ -97,14 +91,12 @@ __all__ = [
     "SweepSpec",
     "figure_presets",
     "run_sweep",
-    "sideband_resolved",
     "EmitterSite",
     "GridState",
     "ModulationSchedule",
     "PacketSpec",
     "TrapProtocol",
     "TrapReport",
-    "convolution_oracle",
     "default_trap_protocol",
     "init_grid",
     "norm",

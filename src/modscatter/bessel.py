@@ -90,12 +90,3 @@ def bessel_j_sequence(n_max: int, x: float) -> np.ndarray:
         # J_n(-x) = (-1)^n J_n(x), exact
         seq[1::2] = -seq[1::2]
     return seq
-
-
-def bessel_j(order: int, x: float) -> float:
-    """Bessel function of the first kind J_order(x), integer order."""
-    n = abs(int(order))
-    val = bessel_j_sequence(n, x)[n]
-    if order < 0 and n % 2 == 1:
-        val = -val  # J_{-n} = (-1)^n J_n, exact
-    return float(val)

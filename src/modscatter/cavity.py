@@ -613,20 +613,3 @@ def run_packet_scattering(
         "norm_drift": float(norm_drift),
         "steps": len(times),
     }
-
-
-def convolution_oracle(
-    detuning: float, bandwidth: float, gamma: float = 1.0
-) -> tuple[float, float]:
-    """Frequency-domain prediction for a static emitter and a Gaussian packet.
-
-    Convolves the Lorentzian reflection probability with the packet spectrum
-    by quadrature: R = int |r(detuning+d)|^2 g(d) dd with g the normalized
-    Gaussian of width `bandwidth`.
-    """
-    d = np.linspace(-8.0 * bandwidth, 8.0 * bandwidth, 4001)
-    g = np.exp(-(d**2) / (2.0 * bandwidth**2))
-    g /= np.trapezoid(g, d)
-    r2 = gamma**2 / ((detuning + d) ** 2 + gamma**2)
-    refl = float(np.trapezoid(g * r2, d))
-    return 1.0 - refl, refl

@@ -201,17 +201,24 @@ def _emit(args, meta, header, rows, opts, summary: str) -> None:
 
 
 def _raw_gamma(args, cfg) -> float | None:
-    """gamma = V^2/v_g under --raw-units, None in gamma-normalized units."""
+    """gamma = V^2/v_g under --raw-units, None in gamma-normalized units,
+    where the raw-unit-only flags and [params] keys are refused."""
     p_cfg = cfg.get("params", {})
     raw = _pick(args.raw_units, p_cfg, "raw_units", False, bool)
     if not raw:
+        for key in ("coupling", "group_velocity", "omega_a"):
+            if getattr(args, key) is not None or key in p_cfg:
+                raise ValueError(f"--{key.replace('_', '-')} ([params] {key}) "
+                                 "applies only with --raw-units")
         return None
-    v = _pick(args.coupling, p_cfg, "coupling", None, float)
-    vg = _pick(args.group_velocity, p_cfg, "group_velocity", None, float)
-    if v is None or vg is None or v <= 0 or vg <= 0:
-        raise ValueError("--raw-units requires positive --coupling and "
-                         "--group-velocity")
-    return v * v / vg
+    v = _pick(args.coupling, p_cfg, "coupling", math.nan, float)
+    vg = _pick(args.group_velocity, p_cfg, "group_velocity", math.nan, float)
+    gamma = v * v / vg if v > 0 and vg > 0 else math.nan
+    if not 0 < gamma < math.inf:
+        raise ValueError(f"--raw-units requires positive --coupling and "
+                         f"--group-velocity with gamma = V^2/v_g finite and "
+                         f"> 0, got {v!r} and {vg!r}")
+    return gamma
 
 
 def _sweep_spec_from(args, cfg) -> SweepSpec:
@@ -219,6 +226,11 @@ def _sweep_spec_from(args, cfg) -> SweepSpec:
     s_cfg = cfg.get("sweep", {})
     raw_gamma = _raw_gamma(args, cfg)
     gamma = 1.0 if raw_gamma is None else raw_gamma
+    omega_ratio = OMEGA_RATIO
+    if raw_gamma is not None:
+        omega_a = _pick(args.omega_a, p_cfg, "omega_a", None, float)
+        if omega_a is not None:
+            omega_ratio = omega_a / gamma
     preset = _pick(args.preset, s_cfg, "preset", None, str)
     orders = ()
     orders_explicit = getattr(args, "orders", None) is not None
@@ -240,11 +252,6 @@ def _sweep_spec_from(args, cfg) -> SweepSpec:
         if axis is None or rng is None:
             raise ValueError("need --preset, or both --axis and --range")
         start, stop, points = parse_range(rng)
-        omega_ratio = OMEGA_RATIO
-        if raw_gamma is not None:
-            omega_a = _pick(args.omega_a, p_cfg, "omega_a", None, float)
-            if omega_a is not None:
-                omega_ratio = omega_a / gamma
         spec = SweepSpec(
             axis=axis,
             start=start / gamma,
@@ -258,13 +265,18 @@ def _sweep_spec_from(args, cfg) -> SweepSpec:
             name="custom",
             omega_ratio=omega_ratio,
         )
-    # explicit fixed-value flags override even a preset
+    # explicit fixed values (flags, then [params] keys) and the raw-units
+    # carrier override even a preset
     overrides = {}
-    for attr, flag in (("detuning", args.detuning),
-                       ("mod_amp_energy", args.mod_amp_energy),
-                       ("mod_freq", args.mod_freq)):
-        if preset is not None and flag is not None and attr != spec.axis:
-            overrides[attr] = flag / gamma
+    if preset is not None:
+        for attr, flag in (("detuning", args.detuning),
+                           ("mod_amp_energy", args.mod_amp_energy),
+                           ("mod_freq", args.mod_freq)):
+            value = _pick(flag, p_cfg, attr, None, float)
+            if value is not None and attr != spec.axis:
+                overrides[attr] = value / gamma
+        if omega_ratio != spec.omega_ratio:
+            overrides["omega_ratio"] = omega_ratio
     method = _pick(args.method, s_cfg, "method", None, str)
     if method is not None:
         overrides["method"] = method

@@ -12,6 +12,7 @@ from __future__ import annotations
 import configparser
 import io
 import json
+import math
 from typing import Iterable, Mapping
 
 from .errors import OutOfRangeError
@@ -76,6 +77,8 @@ def parse_range(text: str) -> tuple[float, float, int]:
     if len(parts) != 3:
         raise ValueError(f"range {text!r} is not start:stop:points")
     start, stop = float(parts[0]), float(parts[1])
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError(f"range {text!r} needs a finite start and stop")
     points = int(parts[2])
     if points < 2:
         raise ValueError("range needs at least 2 points")

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfRangeError, SingularSystemError
-from .params import EmitterParams, ScatteringQuery, TruncationSpec
-from .scattering import ExcitationSpectrum, SidebandSet, _assemble, evaluate_sidebands
+from .params import EmitterParams, TruncationSpec
+from .scattering import SidebandSet, _assemble, evaluate_sidebands
 
 RESIDUAL_TOL = 1e-12
 PERIODICITY_TOL = 1e-9
@@ -35,6 +35,15 @@ MAX_DECAY_PER_PERIOD = 600.0
 # (steps per period + 1) x detunings: at the cap each complex array of the
 # scan is 32 MB and an oracle run peaks near 330 MB
 MAX_TD_SAMPLES = 2**21
+
+
+@dataclass(frozen=True)
+class ExcitationSpectrum:
+    """Fourier coefficients e_n of the emitter excitation amplitude on the
+    sideband frequencies omega_n = omega_0 + n*omega."""
+
+    ns: np.ndarray
+    coeffs: np.ndarray
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ in gamma-normalized units.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -113,13 +113,3 @@ class TruncationSpec:
             raise ValueError("sideband_max must be >= 0")
         if self.sum_max < self.sideband_max:
             raise ValueError("sum_max must be >= sideband_max")
-
-
-@dataclass(frozen=True)
-class ScatteringQuery:
-    """One scattering evaluation: input-photon detuning plus truncation."""
-
-    detuning: float
-    truncation: TruncationSpec = field(
-        default_factory=lambda: TruncationSpec(sideband_max=32, sum_max=40)
-    )

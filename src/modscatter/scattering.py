@@ -21,7 +21,7 @@ import numpy as np
 
 from .bessel import bessel_j_sequence
 from .errors import NotStaticError, StaticLimitError, TruncationError
-from .params import EmitterParams, ScatteringQuery, TruncationSpec
+from .params import EmitterParams, TruncationSpec
 
 
 class SidebandEntry(NamedTuple):
@@ -66,15 +66,6 @@ class SidebandSet:
         if i < 0 or i >= len(self.ns):
             raise IndexError(f"sideband order {n} outside truncation window")
         return complex(self.t[i] if which == "t" else self.r[i])
-
-
-@dataclass(frozen=True)
-class ExcitationSpectrum:
-    """Fourier coefficients e_n of the emitter excitation amplitude on the
-    sideband frequencies omega_n = omega_0 + n*omega."""
-
-    ns: np.ndarray
-    coeffs: np.ndarray
 
 
 def modulation_index(params: EmitterParams) -> float:
@@ -171,9 +162,13 @@ def _assemble(
 
 
 def reflection_amplitudes(
-    params: EmitterParams, query: ScatteringQuery, *, tables: dict | None = None
+    params: EmitterParams,
+    detuning: float,
+    truncation: TruncationSpec,
+    *,
+    tables: dict | None = None,
 ) -> SidebandSet:
-    """Evaluate the sideband amplitudes at the query's truncation.
+    """Evaluate the sideband amplitudes at one detuning and truncation.
 
     The returned set carries both r_n and t_n (one series evaluation; the
     transmission side is the structural identity, never a second sum).
@@ -183,24 +178,9 @@ def reflection_amplitudes(
         raise StaticLimitError(
             "mod_freq=0 has no sideband structure; use static_limit_amplitudes"
         )
-    trunc = query.truncation
-    ns = np.arange(-trunc.sideband_max, trunc.sideband_max + 1)
-    r = _series_r(params, query.detuning, trunc, tables)
-    return _assemble(params, query.detuning, trunc, ns, r)
-
-
-def excitation_coefficients(params: EmitterParams, query: ScatteringQuery) -> ExcitationSpectrum:
-    """Emitter-excitation Fourier coefficients, fixed by e_n = i v_g r_n / V.
-
-    For V = 0 the emitter decouples and every coefficient is zero.
-    """
-    if params.coupling == 0:
-        n = query.truncation.sideband_max
-        ns = np.arange(-n, n + 1)
-        return ExcitationSpectrum(ns=ns, coeffs=np.zeros(len(ns), complex))
-    sset = reflection_amplitudes(params, query)
-    coeffs = 1j * params.group_velocity * sset.r / params.coupling
-    return ExcitationSpectrum(ns=sset.ns, coeffs=coeffs)
+    n = truncation.sideband_max
+    r = _series_r(params, detuning, truncation, tables)
+    return _assemble(params, detuning, truncation, np.arange(-n, n + 1), r)
 
 
 def static_limit_amplitudes(params: EmitterParams, detuning: float) -> SidebandSet:
@@ -249,9 +229,7 @@ def auto_truncation(
     best_defect = np.inf
     while True:
         trunc = TruncationSpec(sideband_max=n, sum_max=n + 8)
-        sset = reflection_amplitudes(
-            params, ScatteringQuery(detuning, trunc), tables=tables
-        )
+        sset = reflection_amplitudes(params, detuning, trunc, tables=tables)
         best_defect = min(best_defect, sset.unitarity_defect)
         if sset.unitarity_defect < tol:
             return sset
@@ -267,21 +245,16 @@ def auto_truncation(
 def evaluate_sidebands(
     params: EmitterParams,
     detuning: float,
-    truncation: TruncationSpec | None = None,
     tol: float = 1e-10,
     *,
     tables: dict | None = None,
 ) -> SidebandSet:
-    """Main entry point: route to the static limit or the modulated series.
+    """Main entry point: route to the static limit or the modulated series,
+    auto-truncated against tol.
 
-    With no explicit truncation the series is auto-truncated against tol.
     A caller that evaluates many detunings at one modulation passes the same
     `tables` dict to each call, so the Bessel tables are built once per u.
     """
     if params.mod_freq == 0:
         return static_limit_amplitudes(params, detuning)
-    if truncation is None:
-        return auto_truncation(params, detuning, tol, tables=tables)
-    return reflection_amplitudes(
-        params, ScatteringQuery(detuning, truncation), tables=tables
-    )
+    return auto_truncation(params, detuning, tol, tables=tables)

@@ -50,8 +50,11 @@ class SweepSpec:
             raise OutOfRangeError(
                 f"sweep of {self.points} points exceeds the limit of {MAX_POINTS}"
             )
-        if not (np.isfinite(self.start) and np.isfinite(self.stop)):
-            raise ValueError("range must be finite")
+        for name in ("start", "stop", "detuning", "mod_amp_energy", "mod_freq",
+                     "omega_ratio"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
 
     def axis_values(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.points)
@@ -90,24 +93,6 @@ def _transmitted(sset: SidebandSet, orders) -> dict[str, float]:
     for n in orders:
         i = int(n) - int(sset.ns[0])
         out[f"T_{n}"] = float(abs(sset.t[i]) ** 2) if 0 <= i < len(sset.ns) else 0.0
-    return out
-
-
-def sideband_resolved(
-    params: EmitterParams, detuning: float, n_list: tuple[int, ...] | list[int]
-) -> dict:
-    """Transmitted probabilities T_n = |t_n|^2 for the requested orders.
-
-    Also reports the residual sum over every other computed order, so the
-    caller can see how much probability the requested orders miss.
-    """
-    sset = evaluate_sidebands(params, detuning)
-    out = _transmitted(sset, n_list)
-    listed = {int(n) for n in n_list}
-    out["T_residual"] = sum(
-        float(abs(t) ** 2) for n, t in zip(sset.ns, sset.t) if int(n) not in listed
-    )
-    out["T"] = sset.total_T
     return out
 
 

@@ -1,6 +1,7 @@
 import math
 import weakref
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -32,6 +33,24 @@ def bessel_series_oracle(n: int, x: float, terms: int = 20) -> float:
         )
         total += term
     return sign * total
+
+
+def convolution_oracle(
+    detuning: float, bandwidth: float, gamma: float = 1.0
+) -> tuple[float, float]:
+    """Frequency-domain (T, R) for a static emitter and a Gaussian packet.
+
+    Convolves the Lorentzian reflection probability with the packet spectrum
+    by quadrature: R = int |r(detuning+d)|^2 g(d) dd with g the normalized
+    Gaussian of width `bandwidth`. It shares no code with the grid simulator
+    it is the reference for.
+    """
+    d = np.linspace(-8.0 * bandwidth, 8.0 * bandwidth, 4001)
+    g = np.exp(-(d**2) / (2.0 * bandwidth**2))
+    g /= np.trapezoid(g, d)
+    r2 = gamma**2 / ((detuning + d) ** 2 + gamma**2)
+    refl = float(np.trapezoid(g * r2, d))
+    return 1.0 - refl, refl
 
 
 @pytest.fixture

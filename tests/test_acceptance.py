@@ -21,8 +21,8 @@ import time
 import numpy as np
 import pytest
 
+from conftest import convolution_oracle
 from modscatter import (
-    convolution_oracle,
     cross_validate,
     default_trap_protocol,
     evaluate_sidebands,

@@ -5,22 +5,29 @@ import pytest
 import scipy.special
 from hypothesis import given, settings, strategies as st
 
-from modscatter import OutOfRangeError, bessel_j, bessel_j_sequence
+from modscatter import OutOfRangeError, bessel_j_sequence
+from modscatter.scattering import _bessel_window
 from conftest import bessel_series_oracle
+
+
+def window_at(n, x):
+    """J_n(x) as the series route reads it: entry n of the Bessel window,
+    negative orders by parity."""
+    return float(_bessel_window(x, abs(n))[n + abs(n)])
 
 
 class TestAgainstSeriesOracle:
     """First line of defence: a from-scratch power series, no shared code."""
 
     def test_order_zero_at_2p5(self):
-        assert bessel_j(0, 2.5) == pytest.approx(
+        assert bessel_j_sequence(0, 2.5)[0] == pytest.approx(
             bessel_series_oracle(0, 2.5), abs=1e-14
         )
 
     @pytest.mark.parametrize("n", range(0, 9))
     @pytest.mark.parametrize("x", [0.1, 0.7, 1.3, 2.5, 4.0, 5.5])
     def test_small_argument_grid(self, n, x):
-        assert bessel_j(n, x) == pytest.approx(
+        assert bessel_j_sequence(n, x)[n] == pytest.approx(
             bessel_series_oracle(n, x, terms=30), abs=1e-13
         )
 
@@ -48,7 +55,7 @@ class TestAgainstScipy:
     @pytest.mark.parametrize("n", [-7, -1, 0, 3, 55])
     @pytest.mark.parametrize("x", [-20.0, -1.5, 0.0, 3.3, 90.0])
     def test_scalar_matches_jv(self, n, x):
-        assert bessel_j(n, x) == pytest.approx(
+        assert window_at(n, x) == pytest.approx(
             float(scipy.special.jv(n, x)), abs=phase_tol(x)
         )
 
@@ -88,7 +95,7 @@ class TestAccuracyBudget:
                 float(mpmath.besselj(n, x)), rel=1e-14, abs=1e-300
             )
             # a sequence that ends at order n, as short windows do
-            assert abs(bessel_j(n, x) - ref[n]) <= 1e-12, f"order {n}"
+            assert abs(bessel_j_sequence(n, x)[n] - ref[n]) <= 1e-12, f"order {n}"
         err = np.abs(bessel_j_sequence(1500, x) - ref)
         worst = int(np.argmax(err))
         assert err[worst] <= 1e-12, f"|error| {err[worst]:.3e} at order {worst}"
@@ -101,12 +108,16 @@ class TestExactStructure:
         assert np.all(seq[1:] == 0.0)
 
     def test_negative_order_reflection_is_exact(self):
+        window = _bessel_window(3.7, 11)  # J_k at index k + 11
+        assert window[11:].tobytes() == bessel_j_sequence(11, 3.7).tobytes()
         for n in range(1, 12):
-            assert bessel_j(-n, 3.7) == (-1.0) ** n * bessel_j(n, 3.7)
+            assert window[11 - n] == (-1.0) ** n * window[11 + n]
 
     def test_negative_argument_parity_is_exact(self):
         for n in range(0, 12):
-            assert bessel_j(n, -4.1) == (-1.0) ** n * bessel_j(n, 4.1)
+            assert bessel_j_sequence(n, -4.1)[n] == (
+                (-1.0) ** n * bessel_j_sequence(n, 4.1)[n]
+            )
 
     @pytest.mark.parametrize("x", [0.3, 2.405, 7.7, 31.0, 200.0])
     def test_sum_rule(self, x):
@@ -116,12 +127,12 @@ class TestExactStructure:
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_high_order_underflow_is_zero_not_garbage(self):
-        val = bessel_j(300, 1.0)
+        val = bessel_j_sequence(300, 1.0)[300]
         assert val == 0.0 or abs(val) < 1e-300
 
     def test_domain_limit_raises(self):
         with pytest.raises(OutOfRangeError):
-            bessel_j(0, 1e3)
+            bessel_j_sequence(0, 1e3)
         with pytest.raises(OutOfRangeError):
             bessel_j_sequence(4, -1e4)
 
@@ -136,7 +147,7 @@ class TestExactStructure:
     x=st.floats(min_value=-80.0, max_value=80.0, allow_nan=False),
 )
 def test_hypothesis_matches_scipy(n, x):
-    ours = bessel_j(n, x)
+    ours = bessel_j_sequence(n, x)[n]
     ref = float(scipy.special.jv(n, x))
     assert math.isclose(ours, ref, rel_tol=0.0, abs_tol=phase_tol(x))
 

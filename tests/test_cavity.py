@@ -13,7 +13,6 @@ from modscatter import (
     PacketSpec,
     ResolutionError,
     TrapProtocol,
-    convolution_oracle,
     default_trap_protocol,
     evaluate_sidebands,
     init_grid,
@@ -24,6 +23,7 @@ from modscatter import (
     step,
 )
 from modscatter import cavity
+from conftest import convolution_oracle
 
 
 def ballistic_protocol(bandwidth=0.05, domain_factor=24.0):

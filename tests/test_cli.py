@@ -223,6 +223,104 @@ class TestPointLimit:
         assert "100000" in err
 
 
+@pytest.fixture
+def no_engine(monkeypatch):
+    def never_run(*args, **kwargs):
+        raise AssertionError("a refused input reached the engine")
+
+    monkeypatch.setattr(cli, "run_sweep", never_run)
+    monkeypatch.setattr(cli, "cross_validate", never_run)
+
+
+@pytest.mark.parametrize("argv, ini, value", [
+    pytest.param(["spectrum", "--axis", "mod_freq", "--range", "0.5:2:3",
+                  "--mod-amp-energy", "2", "--detuning", "nan"], None, "nan",
+                 id="detuning"),
+    pytest.param(["spectrum", "--axis", "mod_freq", "--range", "0.5:2:3",
+                  "--mod-amp-energy", "inf"], None, "inf", id="mod-amp-energy"),
+    pytest.param(["spectrum", "--axis", "detuning", "--range=-1:1:3",
+                  "--mod-amp-energy", "2", "--mod-freq", "inf"], None, "inf",
+                 id="mod-freq"),
+    pytest.param(["sidebands", "--preset", "fig4b", "--detuning=-inf"], None,
+                 "-inf", id="preset-detuning"),
+    pytest.param(["spectrum", "--axis", "detuning", "--range", "nan:1:3"], None,
+                 "nan", id="range"),
+    pytest.param(["oracle", "--cases", "5:2", "--delta-range", "nan:1:3"], None,
+                 "nan", id="delta-range-start"),
+    pytest.param(["oracle", "--cases", "5:2", "--delta-range", "0:inf:3"], None,
+                 "inf", id="delta-range-stop"),
+    pytest.param(["spectrum"], "[sweep]\naxis = detuning\nrange = -inf:1:3\n",
+                 "-inf", id="config-range"),
+    pytest.param(["spectrum", "--axis", "detuning", "--range", "0:1:3"],
+                 "[params]\nmod_freq = nan\n", "nan", id="config-mod-freq"),
+    pytest.param(["oracle"], "[oracle]\ndelta_range = 0:nan:3\n", "nan",
+                 id="config-delta-range"),
+])
+def test_non_finite_inputs_refused_before_running(
+    argv, ini, value, tmp_path, capsys, no_engine
+):
+    if ini is not None:
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(ini)
+        argv = argv + ["--config", str(cfg)]
+    assert main(argv) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert value in err
+
+
+class TestRawUnitOnlyInputs:
+    SWEEP = ["spectrum", "--axis", "detuning", "--range=-4:4:3",
+             "--mod-amp-energy", "2", "--mod-freq", "40"]
+    PRESET_RAW = ["spectrum", "--preset", "fig3a", "--raw-units",
+                  "--coupling", "1", "--group-velocity", "1", "--omega-a", "40"]
+
+    @pytest.mark.parametrize("flag, key", [("--coupling", "coupling"),
+                                           ("--group-velocity", "group_velocity"),
+                                           ("--omega-a", "omega_a")])
+    def test_refused_without_raw_units(self, flag, key, tmp_path, capsys,
+                                       no_engine):
+        assert main(self.SWEEP + [flag, "40"]) == 64
+        assert main(self.SWEEP + [flag, "40", "--dump-config"]) == 64
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[params]\n{key} = 40\n")
+        assert main(self.SWEEP + ["--config", str(cfg)]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count(f"{flag} ([params] {key})") == 3
+        assert "--raw-units" in captured.err
+
+    @pytest.mark.parametrize("coupling, velocity", [("inf", "1"), ("1", "inf"),
+                                                    ("nan", "1"), ("1e-200", "1")])
+    def test_unusable_gamma_refused(self, coupling, velocity, capsys, no_engine):
+        argv = self.SWEEP + ["--raw-units", "--coupling", coupling,
+                             "--group-velocity", velocity]
+        assert main(argv) == 64
+        assert "--coupling" in capsys.readouterr().err
+
+    def test_preset_applies_omega_a_and_replays_it(self, tmp_path, capsys):
+        # the dump writes Omega/gamma from the spec the run would use
+        assert main(self.PRESET_RAW + ["--dump-config"]) == 0
+        text = capsys.readouterr().out
+        assert "preset = fig3a" in text
+        assert "omega_a = 40.0" in text
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(text)
+        assert main(["spectrum", "--config", str(cfg), "--dump-config"]) == 0
+        assert capsys.readouterr().out == text
+
+
+def test_preset_override_survives_dump_and_replay(tmp_path, capsys):
+    assert main(["spectrum", "--preset", "fig3a", "--detuning", "1",
+                 "--dump-config"]) == 0
+    text = capsys.readouterr().out
+    assert "detuning = 1.0" in text
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(text)
+    assert main(["spectrum", "--config", str(cfg), "--dump-config"]) == 0
+    assert capsys.readouterr().out == text
+
+
 def test_error_codes_map_one_to_one_onto_exit_classes():
     """Each error type carries its own exit class: a quality failure (2) or
     a usage error (64), with only the base class an internal error (70);

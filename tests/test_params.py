@@ -2,7 +2,6 @@ import pytest
 
 from modscatter import (
     EmitterParams,
-    ScatteringQuery,
     TruncationSpec,
     normalized_params,
 )
@@ -103,10 +102,3 @@ class TestTruncationSpec:
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError):
             TruncationSpec(sideband_max=-1, sum_max=4)
-
-
-class TestScatteringQuery:
-    def test_default_truncation_present(self):
-        q = ScatteringQuery(detuning=0.5)
-        assert q.truncation.sideband_max >= 1
-        assert q.truncation.sum_max >= q.truncation.sideband_max

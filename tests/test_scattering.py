@@ -7,14 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from modscatter import (
     EmitterParams,
+    ExcitationSpectrum,
     NotStaticError,
-    ScatteringQuery,
     StaticLimitError,
     TruncationError,
     TruncationSpec,
     auto_truncation,
+    amplitudes_from_excitation,
     evaluate_sidebands,
-    excitation_coefficients,
     modulation_index,
     normalized_params,
     reflection_amplitudes,
@@ -27,8 +27,6 @@ def lorentzian_r(delta, gamma=1.0):
     return -1j * gamma / (delta + 1j * gamma)
 
 
-def query_for(params, delta, tol=1e-10):
-    return ScatteringQuery(delta, auto_truncation(params, delta, tol).truncation_used)
 
 
 class TestModulationIndex:
@@ -150,13 +148,17 @@ class TestSeriesAmplitudes:
 
 
 class TestExcitationCoefficients:
+    """e_n = i v_g r_n / V, read back through amplitudes_from_excitation."""
+
     def test_proportional_to_reflection(self, params_reference):
-        q = query_for(params_reference, 0.7)
-        out = reflection_amplitudes(params_reference, q)
-        spec = excitation_coefficients(params_reference, q)
         p = params_reference
-        expected = 1j * p.group_velocity * out.r / p.coupling
-        np.testing.assert_allclose(spec.coeffs, expected, rtol=0, atol=1e-14)
+        out = evaluate_sidebands(p, 0.7)
+        spec = ExcitationSpectrum(
+            ns=out.ns, coeffs=1j * p.group_velocity * out.r / p.coupling
+        )
+        back = amplitudes_from_excitation(spec, p, 0.7)
+        np.testing.assert_array_equal(back.ns, out.ns)
+        np.testing.assert_allclose(back.r, out.r, rtol=0, atol=1e-14)
 
     def test_decoupled_emitter_is_dark(self):
         dark = EmitterParams(
@@ -164,8 +166,9 @@ class TestExcitationCoefficients:
             coupling=0.0, group_velocity=1.0,
         )
         trunc = TruncationSpec(sideband_max=8, sum_max=12)
-        spec = excitation_coefficients(dark, ScatteringQuery(0.7, trunc))
-        assert np.all(spec.coeffs == 0.0)
+        out = reflection_amplitudes(dark, 0.7, trunc)
+        assert len(out.r) == 17
+        assert np.all(out.r == 0.0)
 
 
 class TestTotals:
@@ -196,7 +199,7 @@ class TestTruncationControl:
 
     def test_undersized_window_reports_defect(self, params_reference):
         tight = TruncationSpec(sideband_max=2, sum_max=2)
-        out = evaluate_sidebands(params_reference, 0.0, truncation=tight)
+        out = reflection_amplitudes(params_reference, 0.0, tight)
         assert out.unitarity_defect > 1e-3
 
     def test_overdriven_index_hits_cap_and_raises(self):
@@ -236,9 +239,9 @@ class TestOneSeriesEvaluationPerPoint:
         calls = []
         series = scattering.reflection_amplitudes
 
-        def counted(params, query, **kwargs):
-            sset = series(params, query, **kwargs)
-            calls.append(query.truncation.sideband_max)
+        def counted(params, detuning, truncation, **kwargs):
+            sset = series(params, detuning, truncation, **kwargs)
+            calls.append(truncation.sideband_max)
             if len(calls) <= unconverged:
                 # a defect above any tolerance makes the truncation double
                 sset = dataclasses.replace(sset, unitarity_defect=1.0)
@@ -253,7 +256,7 @@ class TestOneSeriesEvaluationPerPoint:
         calls, series = self.count_series_calls(monkeypatch)
         sset = evaluate_sidebands(params, delta)
         assert len(calls) == 1
-        same_bits(sset, series(params, ScatteringQuery(delta, sset.truncation_used)))
+        same_bits(sset, series(params, delta, sset.truncation_used))
 
     @pytest.mark.parametrize("amp, freq, delta, forced, sizes", [
         # the resonant term l = Delta/omega = -30 shifts the comb by 30
@@ -270,7 +273,7 @@ class TestOneSeriesEvaluationPerPoint:
         sset = evaluate_sidebands(params, delta)
         assert calls == sizes  # doublings + 1 evaluations
         assert sset.truncation_used.sideband_max == sizes[-1]
-        same_bits(sset, series(params, ScatteringQuery(delta, sset.truncation_used)))
+        same_bits(sset, series(params, delta, sset.truncation_used))
 
 
 @settings(max_examples=40, deadline=None)

@@ -13,7 +13,6 @@ from modscatter import (
     figure_presets,
     normalized_params,
     run_sweep,
-    sideband_resolved,
 )
 
 
@@ -142,20 +141,35 @@ class TestRunSweep:
 
 
 class TestSidebandResolved:
-    def test_unmodulated_concentrates_on_the_carrier(self, params_unmodulated):
-        out = sideband_resolved(params_unmodulated, 1.0, (0, 1, 2))
-        assert out["T_0"] == pytest.approx(0.5, abs=1e-12)
-        assert out["T_1"] == pytest.approx(0.0, abs=1e-14)
-        assert out["T_residual"] == pytest.approx(0.0, abs=1e-12)
+    """T_n columns of a sweep: what the sidebands command writes."""
 
-    def test_orders_sum_to_total(self, params_reference):
-        out = sideband_resolved(params_reference, 0.0, (0, 1, 2, -1, -2))
-        partial = sum(out[f"T_{n}"] for n in (0, 1, 2, -1, -2))
-        assert partial + out["T_residual"] == pytest.approx(out["T"], abs=1e-12)
+    @staticmethod
+    def detuning_sweep(amp, freq, orders):
+        return run_sweep(SweepSpec(
+            axis="detuning", start=-1.0, stop=1.0, points=5,
+            mod_amp_energy=amp, mod_freq=freq, sideband_orders=orders,
+        ))
 
-    def test_out_of_window_order_reports_zero(self, params_unmodulated):
-        out = sideband_resolved(params_unmodulated, 0.5, (250,))
-        assert out["T_250"] == 0.0
+    def test_unmodulated_concentrates_on_the_carrier(self):
+        ds = self.detuning_sweep(0.0, 2.0, (0, 1, 2))
+        np.testing.assert_allclose(
+            ds.column("T_0"), lorentzian_T(ds.axis_values), rtol=0, atol=1e-12
+        )
+        np.testing.assert_allclose(ds.column("T_1"), 0.0, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(
+            ds.column("T_0"), ds.column("T"), rtol=0, atol=1e-12
+        )
+
+    def test_orders_sum_to_total(self):
+        window = tuple(range(-60, 61))
+        ds = self.detuning_sweep(5.0, 2.0, window)
+        assert np.all(ds.truncation_orders <= 60)  # the orders span the window
+        partial = sum(ds.column(f"T_{n}") for n in window)
+        np.testing.assert_allclose(partial, ds.column("T"), rtol=0, atol=1e-12)
+
+    def test_out_of_window_order_reports_zero(self):
+        ds = self.detuning_sweep(0.0, 2.0, (250,))
+        assert np.all(ds.column("T_250") == 0.0)
 
 
 # u = f*Omega/omega = 2.5 takes the Bessel power series, u = 12 Miller
