@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 numerical-quality failure, 64 usage error,
 from __future__ import annotations
 
 import argparse
+import configparser
 import dataclasses
 import math
 import sys
@@ -50,21 +51,30 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-_RANGE_FLAGS = ("--range", "--delta-range")
+# the flags that take no value, so a dash-led token after one is not glued
+_BARE_FLAGS = ("-h", "--help", "--version", "--dump-config",
+               "--raw-units", "--release", "--stamp")
+# the store_true flags a config file sets, with a configparser boolean
+_SWITCHES = ("raw_units", "release", "stamp")
+_SWEEP_SECTIONS = ("params", "sweep", "output")
 
 
-def _join_range_values(argv: list[str]) -> list[str]:
-    """Glue '--range -10:10:401' into '--range=-10:10:401'.
+def _join_dash_values(argv: list[str]) -> list[str]:
+    """Glue '--detuning -1e-3' into '--detuning=-1e-3'.
 
     argparse refuses option values that start with a dash unless they look
-    like plain negative numbers, and range triplets with colons do not.
+    like plain negative numbers, and exponents, -inf and range triplets do
+    not. A single-dash token other than -h after a flag that takes a value
+    is that flag's value.
     """
     out = []
     i = 0
     while i < len(argv):
         tok = argv[i]
-        nxt = argv[i + 1] if i + 1 < len(argv) else None
-        if tok in _RANGE_FLAGS and nxt and nxt.startswith("-") and ":" in nxt:
+        nxt = argv[i + 1] if i + 1 < len(argv) else ""
+        if (tok.startswith("--") and "=" not in tok and tok not in _BARE_FLAGS
+                and nxt.startswith("-") and not nxt.startswith("--")
+                and nxt != "-h"):
             out.append(f"{tok}={nxt}")
             i += 2
         else:
@@ -75,10 +85,10 @@ def _join_range_values(argv: list[str]) -> list[str]:
 
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="output file (default: dataset to stdout)")
-    p.add_argument("--format", choices=("csv", "json"), default=None)
-    p.add_argument("--precision", type=int, default=None,
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--precision", type=int, default=12,
                    help=f"digits after the point, 0 to {MAX_PRECISION} (default 12)")
-    p.add_argument("--stamp", action="store_true", default=None,
+    p.add_argument("--stamp", action="store_true",
                    help="include a timestamp line in the metadata")
     p.add_argument("--config", help="INI config file; explicit flags override it")
     p.add_argument("--dump-config", action="store_true",
@@ -114,39 +124,40 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec = sub.add_parser("spectrum", help="total T/R over one swept axis")
     _add_sweep_flags(p_spec)
     _add_output_flags(p_spec)
-    p_spec.set_defaults(func=cmd_spectrum)
+    p_spec.set_defaults(func=cmd_spectrum, sections=_SWEEP_SECTIONS)
 
     p_side = sub.add_parser("sidebands", help="per-sideband T_n over one axis")
     _add_sweep_flags(p_side)
     p_side.add_argument("--orders", default=None,
                         help="comma-separated sideband orders (default 0,1,2)")
     _add_output_flags(p_side)
-    p_side.set_defaults(func=cmd_sidebands)
+    p_side.set_defaults(func=cmd_sidebands, sections=_SWEEP_SECTIONS)
 
     p_or = sub.add_parser("oracle", help="three-way solver cross-validation")
-    p_or.add_argument("--cases", default=None,
+    p_or.add_argument("--cases", default="5:2,5:8,2:2,8:2",
                       help="comma list of ampEnergy:freq pairs, gamma units")
-    p_or.add_argument("--delta-range", default=None, metavar="START:STOP:POINTS")
-    p_or.add_argument("--tol-hb", type=float, default=None)
-    p_or.add_argument("--tol-td", type=float, default=None)
+    p_or.add_argument("--delta-range", default="-10:10:21",
+                      metavar="START:STOP:POINTS")
+    p_or.add_argument("--tol-hb", type=float, default=1e-8)
+    p_or.add_argument("--tol-td", type=float, default=1e-3)
     _add_output_flags(p_or)
-    p_or.set_defaults(func=cmd_oracle)
+    p_or.set_defaults(func=cmd_oracle, sections=("oracle", "output"))
 
     p_trap = sub.add_parser("trap", help="two-emitter photon trap protocol")
-    p_trap.add_argument("--bandwidth", type=float, default=None,
+    p_trap.add_argument("--bandwidth", type=float, default=0.05,
                         help="packet bandwidth in gamma units (default 0.05)")
-    p_trap.add_argument("--amp-energy", type=float, default=None)
-    p_trap.add_argument("--mod-freq", type=float, default=None)
-    p_trap.add_argument("--cells", type=int, default=None)
+    p_trap.add_argument("--amp-energy", type=float, default=4.81)
+    p_trap.add_argument("--mod-freq", type=float, default=2.0)
+    p_trap.add_argument("--cells", type=int, default=20000)
     p_trap.add_argument("--variant",
-                        choices=("trap", "control", "always-on"), default=None)
-    p_trap.add_argument("--release", action="store_true", default=None,
+                        choices=("trap", "control", "always-on"), default="trap")
+    p_trap.add_argument("--release", action="store_true",
                         help="re-modulate the right mirror at measure time")
-    p_trap.add_argument("--series-out", default=None,
+    p_trap.add_argument("--series-out",
                         help="write the intra-cavity probability time series")
-    p_trap.add_argument("--series-stride", type=int, default=None)
+    p_trap.add_argument("--series-stride", type=int, default=10)
     _add_output_flags(p_trap)
-    p_trap.set_defaults(func=cmd_trap)
+    p_trap.set_defaults(func=cmd_trap, sections=("trap", "output"))
 
     p_pre = sub.add_parser("presets", help="list bundled sweep presets")
     p_pre.set_defaults(func=cmd_presets)
@@ -154,36 +165,41 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _pick(flag_value, cfg: dict, key: str, default, cast):
-    if flag_value is not None:
-        return flag_value
-    if key in cfg:
-        raw = cfg[key]
-        if cast is bool:
-            return str(raw).strip().lower() in ("1", "true", "yes", "on")
-        return cast(raw)
-    return default
+def _config_flags(parser, sections, cfg: dict[str, dict[str, str]]) -> list[str]:
+    """The keys of the sections a subcommand reads, as its flags:
+    'key = value' becomes '--key=value', a switch set true the bare flag."""
+    flags = []
+    for section in sections:
+        for key, value in cfg.get(section, {}).items():
+            flag = "--" + key.replace("_", "-")
+            if key in ("config", "dump_config"):
+                parser.error(f"[{section}] {key} is not a config key")
+            if key not in _SWITCHES:
+                flags.append(f"{flag}={value}")
+                continue
+            state = configparser.ConfigParser.BOOLEAN_STATES.get(value.lower())
+            if state is None:
+                parser.error(f"[{section}] {key} = {value!r} is not a boolean")
+            if state:
+                flags.append(flag)
+    return flags
 
 
-def _load_cfg(args) -> dict[str, dict[str, str]]:
-    if getattr(args, "config", None):
-        return load_config(args.config)
-    return {}
-
-
-def _output_options(args, cfg) -> dict:
-    out_cfg = cfg.get("output", {})
-    precision = _pick(args.precision, out_cfg, "precision", 12, int)
-    if not 0 <= precision <= MAX_PRECISION:
+def _output_options(args) -> dict:
+    if not 0 <= args.precision <= MAX_PRECISION:
         raise OutOfRangeError(
-            f"precision {precision} outside [0, {MAX_PRECISION}]"
+            f"precision {args.precision} outside [0, {MAX_PRECISION}]"
         )
-    return {
-        "out": _pick(args.out, out_cfg, "out", None, str),
-        "format": _pick(args.format, out_cfg, "format", "csv", str),
-        "precision": precision,
-        "stamp": _pick(args.stamp, out_cfg, "stamp", False, bool),
-    }
+    return {"out": args.out, "format": args.format,
+            "precision": args.precision, "stamp": args.stamp}
+
+
+def _write_config(sections: dict[str, dict]) -> None:
+    """Print the effective config; options left unset are not written."""
+    sys.stdout.write(dump_config({
+        name: {k: v for k, v in values.items() if v is not None}
+        for name, values in sections.items()
+    }))
 
 
 def _emit(args, meta, header, rows, opts, summary: str) -> None:
@@ -200,19 +216,17 @@ def _emit(args, meta, header, rows, opts, summary: str) -> None:
         print(summary, file=sys.stderr)
 
 
-def _raw_gamma(args, cfg) -> float | None:
+def _raw_gamma(args) -> float | None:
     """gamma = V^2/v_g under --raw-units, None in gamma-normalized units,
-    where the raw-unit-only flags and [params] keys are refused."""
-    p_cfg = cfg.get("params", {})
-    raw = _pick(args.raw_units, p_cfg, "raw_units", False, bool)
-    if not raw:
+    where the raw-unit-only flags are refused."""
+    if not args.raw_units:
         for key in ("coupling", "group_velocity", "omega_a"):
-            if getattr(args, key) is not None or key in p_cfg:
+            if getattr(args, key) is not None:
                 raise ValueError(f"--{key.replace('_', '-')} ([params] {key}) "
                                  "applies only with --raw-units")
         return None
-    v = _pick(args.coupling, p_cfg, "coupling", math.nan, float)
-    vg = _pick(args.group_velocity, p_cfg, "group_velocity", math.nan, float)
+    v, vg = (math.nan if x is None else x
+             for x in (args.coupling, args.group_velocity))
     gamma = v * v / vg if v > 0 and vg > 0 else math.nan
     if not 0 < gamma < math.inf:
         raise ValueError(f"--raw-units requires positive --coupling and "
@@ -221,65 +235,49 @@ def _raw_gamma(args, cfg) -> float | None:
     return gamma
 
 
-def _sweep_spec_from(args, cfg) -> SweepSpec:
-    p_cfg = cfg.get("params", {})
-    s_cfg = cfg.get("sweep", {})
-    raw_gamma = _raw_gamma(args, cfg)
+def _sweep_spec_from(args) -> SweepSpec:
+    raw_gamma = _raw_gamma(args)
     gamma = 1.0 if raw_gamma is None else raw_gamma
     omega_ratio = OMEGA_RATIO
-    if raw_gamma is not None:
-        omega_a = _pick(args.omega_a, p_cfg, "omega_a", None, float)
-        if omega_a is not None:
-            omega_ratio = omega_a / gamma
-    preset = _pick(args.preset, s_cfg, "preset", None, str)
-    orders = ()
-    orders_explicit = getattr(args, "orders", None) is not None
-    if hasattr(args, "orders"):
-        text = _pick(args.orders, s_cfg, "orders", "0,1,2", str)
-        orders = tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
-    if preset is not None:
+    if raw_gamma is not None and args.omega_a is not None:
+        omega_ratio = args.omega_a / gamma
+    text = getattr(args, "orders", None)
+    orders = () if text is None else tuple(
+        int(tok) for tok in text.split(",") if tok.strip() != "")
+    fixed = {attr: getattr(args, attr)
+             for attr in ("detuning", "mod_amp_energy", "mod_freq")}
+    overrides = {}
+    if args.preset is not None:
         presets = figure_presets()
-        if preset not in presets:
-            raise ValueError(
-                f"unknown preset {preset!r}; available: {', '.join(sorted(presets))}"
-            )
-        spec = presets[preset]
-        if hasattr(args, "orders") and (orders_explicit or not spec.sideband_orders):
-            spec = dataclasses.replace(spec, sideband_orders=orders)
+        if args.preset not in presets:
+            raise ValueError(f"unknown preset {args.preset!r}; "
+                             f"available: {', '.join(sorted(presets))}")
+        spec = presets[args.preset]
+        # explicit fixed values, orders and the raw-units carrier override
+        # even a preset
+        overrides = {attr: value / gamma for attr, value in fixed.items()
+                     if value is not None and attr != spec.axis}
+        if omega_ratio != spec.omega_ratio:
+            overrides["omega_ratio"] = omega_ratio
+        if text is not None:
+            overrides["sideband_orders"] = orders
     else:
-        axis = _pick(args.axis, s_cfg, "axis", None, str)
-        rng = _pick(args.axis_range, s_cfg, "range", None, str)
-        if axis is None or rng is None:
+        if args.axis is None or args.axis_range is None:
             raise ValueError("need --preset, or both --axis and --range")
-        start, stop, points = parse_range(rng)
+        start, stop, points = parse_range(args.axis_range)
         spec = SweepSpec(
-            axis=axis,
+            axis=args.axis,
             start=start / gamma,
             stop=stop / gamma,
             points=points,
-            detuning=_pick(args.detuning, p_cfg, "detuning", 0.0, float) / gamma,
-            mod_amp_energy=_pick(args.mod_amp_energy, p_cfg, "mod_amp_energy",
-                                 0.0, float) / gamma,
-            mod_freq=_pick(args.mod_freq, p_cfg, "mod_freq", 0.0, float) / gamma,
+            **{attr: (0.0 if value is None else value) / gamma
+               for attr, value in fixed.items()},
             sideband_orders=orders,
             name="custom",
             omega_ratio=omega_ratio,
         )
-    # explicit fixed values (flags, then [params] keys) and the raw-units
-    # carrier override even a preset
-    overrides = {}
-    if preset is not None:
-        for attr, flag in (("detuning", args.detuning),
-                           ("mod_amp_energy", args.mod_amp_energy),
-                           ("mod_freq", args.mod_freq)):
-            value = _pick(flag, p_cfg, attr, None, float)
-            if value is not None and attr != spec.axis:
-                overrides[attr] = value / gamma
-        if omega_ratio != spec.omega_ratio:
-            overrides["omega_ratio"] = omega_ratio
-    method = _pick(args.method, s_cfg, "method", None, str)
-    if method is not None:
-        overrides["method"] = method
+    if args.method is not None:
+        overrides["method"] = args.method
     if overrides:
         spec = dataclasses.replace(spec, **overrides)
     return spec
@@ -304,13 +302,12 @@ def _sweep_meta(spec: SweepSpec, opts, extra=()) -> dict:
 
 
 def _run_sweep_command(args, want_orders: bool) -> int:
-    cfg = _load_cfg(args)
-    opts = _output_options(args, cfg)
-    spec = _sweep_spec_from(args, cfg)
+    opts = _output_options(args)
+    spec = _sweep_spec_from(args)
     if want_orders and not spec.sideband_orders:
         spec = dataclasses.replace(spec, sideband_orders=(0, 1, 2))
     if args.dump_config:
-        sys.stdout.write(_dump_sweep_config(spec, opts))
+        _write_config(_sweep_config(spec, opts, want_orders))
         return EXIT_OK
     ds = run_sweep(spec)
     header = [spec.axis]
@@ -343,13 +340,8 @@ def cmd_sidebands(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    cfg = _load_cfg(args)
-    opts = _output_options(args, cfg)
-    o_cfg = cfg.get("oracle", {})
-    cases_text = _pick(args.cases, o_cfg, "cases", "5:2,5:8,2:2,8:2", str)
-    rng = _pick(args.delta_range, o_cfg, "delta_range", "-10:10:21", str)
-    tol_hb = _pick(args.tol_hb, o_cfg, "tol_hb", 1e-8, float)
-    tol_td = _pick(args.tol_td, o_cfg, "tol_td", 1e-3, float)
+    opts = _output_options(args)
+    rng, tol_hb, tol_td = args.delta_range, args.tol_hb, args.tol_td
     for flag, key, tol in (("--tol-hb", "tol_hb", tol_hb),
                            ("--tol-td", "tol_td", tol_td)):
         if not 0.0 < tol < math.inf:
@@ -357,7 +349,7 @@ def cmd_oracle(args) -> int:
                 f"{flag} ([oracle] {key}) must be finite and > 0, got {tol!r}"
             )
     cases = []
-    for tok in cases_text.split(","):
+    for tok in args.cases.split(","):
         try:
             amp, freq = (float(v) for v in tok.split(":"))
             if not (math.isfinite(amp) and math.isfinite(freq)):
@@ -370,11 +362,11 @@ def cmd_oracle(args) -> int:
         cases.append((amp, freq))
     start, stop, points = parse_range(rng)
     if args.dump_config:
-        sys.stdout.write(dump_config({
-            "oracle": {"cases": cases_text, "delta_range": rng,
+        _write_config({
+            "oracle": {"cases": args.cases, "delta_range": rng,
                        "tol_hb": tol_hb, "tol_td": tol_td},
-            "output": _printable_output(opts),
-        }))
+            "output": opts,
+        })
         return EXIT_OK
     deltas = np.linspace(start, stop, points)
     header = ["mod_amp_energy", "mod_freq", "max_dev_series_hb",
@@ -413,16 +405,10 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_trap(args) -> int:
-    cfg = _load_cfg(args)
-    opts = _output_options(args, cfg)
-    t_cfg = cfg.get("trap", {})
-    bandwidth = _pick(args.bandwidth, t_cfg, "bandwidth", 0.05, float)
-    amp = _pick(args.amp_energy, t_cfg, "amp_energy", 4.81, float)
-    freq = _pick(args.mod_freq, t_cfg, "mod_freq", 2.0, float)
-    cells = _pick(args.cells, t_cfg, "cells", 20000, int)
-    variant = _pick(args.variant, t_cfg, "variant", "trap", str)
-    release = _pick(args.release, t_cfg, "release", False, bool)
-    stride = _pick(args.series_stride, t_cfg, "series_stride", 10, int)
+    opts = _output_options(args)
+    bandwidth, amp, freq = args.bandwidth, args.amp_energy, args.mod_freq
+    cells, variant, release = args.cells, args.variant, args.release
+    stride = args.series_stride
     if stride < 1:
         raise OutOfRangeError(f"series stride {stride} must be >= 1")
     protocol = default_trap_protocol(
@@ -435,12 +421,13 @@ def cmd_trap(args) -> int:
         release=release,
     )
     if args.dump_config:
-        sys.stdout.write(dump_config({
+        _write_config({
             "trap": {"bandwidth": bandwidth, "amp_energy": amp,
                      "mod_freq": freq, "cells": cells, "variant": variant,
-                     "release": release, "series_stride": stride},
-            "output": _printable_output(opts),
-        }))
+                     "release": release, "series_out": args.series_out,
+                     "series_stride": stride},
+            "output": opts,
+        })
         return EXIT_OK
     report = run_protocol(protocol)
     meta = {
@@ -496,12 +483,7 @@ def cmd_presets(args) -> int:
     return EXIT_OK
 
 
-def _printable_output(opts) -> dict:
-    out = {k: v for k, v in opts.items() if v is not None}
-    return out
-
-
-def _dump_sweep_config(spec: SweepSpec, opts) -> str:
+def _sweep_config(spec: SweepSpec, opts, want_orders: bool) -> dict:
     params: dict = {
         "detuning": spec.detuning,
         "mod_amp_energy": spec.mod_amp_energy,
@@ -512,31 +494,31 @@ def _dump_sweep_config(spec: SweepSpec, opts) -> str:
         # the normalized values above replay unchanged
         params.update(raw_units=True, coupling=1.0, group_velocity=1.0,
                       omega_a=spec.omega_ratio)
-    sweep: dict = {}
-    if spec.name in figure_presets():
-        sweep["preset"] = spec.name
-    sweep.update({
+    sweep = {
+        "preset": spec.name if spec.name in figure_presets() else None,
         "axis": spec.axis,
         "range": f"{spec.start}:{spec.stop}:{spec.points}",
         "method": spec.method,
-        "orders": ",".join(str(n) for n in spec.sideband_orders),
-    })
-    return dump_config({
-        "params": params,
-        "sweep": sweep,
-        "output": _printable_output(opts),
-    })
+        # spectrum takes no --orders: a preset's own orders replay with it
+        "orders": (",".join(str(n) for n in spec.sideband_orders)
+                   if want_orders else None),
+    }
+    return {"params": params, "sweep": sweep, "output": opts}
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(_join_range_values(argv))
+        args = parser.parse_args(_join_dash_values(argv))
+        if getattr(args, "config", None):
+            # the file's keys go first, so flags on the command line win
+            flags = _config_flags(parser, args.sections, load_config(args.config))
+            args = parser.parse_args(
+                _join_dash_values([args.command, *flags, *argv[1:]]))
+        return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.func(args)
     except ScatterError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         return exc.exit_code

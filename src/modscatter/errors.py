@@ -3,9 +3,12 @@
 Every failure mode carries a stable ``code`` string so callers can react
 without string-matching messages, and the ``exit_code`` the CLI returns for
 it: a numerical-quality failure, a usage error or an internal error.
+Warnings of the engine point at the caller's code (`caller_stacklevel`).
 """
 
 from __future__ import annotations
+
+import sys
 
 EXIT_QUALITY = 2
 EXIT_USAGE = 64
@@ -71,3 +74,18 @@ class InvariantError(ScatterError):
 
     code = "invariant-violation"
     exit_code = EXIT_QUALITY
+
+
+def caller_stacklevel() -> int:
+    """The `warnings.warn` stacklevel, for the function that warns, of the
+    first frame outside this package.
+
+    A frame is inside when its module is, so the `__init__` that dataclasses
+    generate for a package class (file "<string>") counts as inside too.
+    """
+    package = __name__.partition(".")[0]
+    level, frame = 1, sys._getframe(1)
+    while (frame.f_back is not None
+           and frame.f_globals.get("__name__", "").partition(".")[0] == package):
+        level, frame = level + 1, frame.f_back
+    return level

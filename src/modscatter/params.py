@@ -12,6 +12,8 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
+from .errors import caller_stacklevel
+
 
 @dataclass(frozen=True)
 class EmitterParams:
@@ -47,13 +49,13 @@ class EmitterParams:
             warnings.warn(
                 f"mod_amp={self.mod_amp:g} is not small; the linearized "
                 "modulation model assumes f << 1",
-                stacklevel=2,
+                stacklevel=caller_stacklevel(),
             )
         if self.coupling > 0 and self.gamma > 0.1 * self.omega_a:
             warnings.warn(
                 f"gamma={self.gamma:g} is not small against omega_a="
                 f"{self.omega_a:g}; the model assumes gamma << omega_a",
-                stacklevel=2,
+                stacklevel=caller_stacklevel(),
             )
 
     @property

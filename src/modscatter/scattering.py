@@ -20,7 +20,12 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .bessel import bessel_j_sequence
-from .errors import NotStaticError, StaticLimitError, TruncationError
+from .errors import (
+    NotStaticError,
+    StaticLimitError,
+    TruncationError,
+    caller_stacklevel,
+)
 from .params import EmitterParams, TruncationSpec
 
 
@@ -144,7 +149,7 @@ def _assemble(
             f"{int(np.sum(omega_n <= 0))} sideband(s) fall at non-positive "
             "frequency; they are kept in the totals but the linear-dispersion "
             "model is not physical there",
-            stacklevel=3,
+            stacklevel=caller_stacklevel(),
         )
     total_T = float(np.sum(np.abs(t) ** 2))
     total_R = float(np.sum(np.abs(r) ** 2))

@@ -230,6 +230,7 @@ def no_engine(monkeypatch):
 
     monkeypatch.setattr(cli, "run_sweep", never_run)
     monkeypatch.setattr(cli, "cross_validate", never_run)
+    monkeypatch.setattr(cli, "run_protocol", never_run)
 
 
 @pytest.mark.parametrize("argv, ini, value", [
@@ -416,6 +417,115 @@ class TestConfigFile:
         _, _, table2 = read_csv(out2)
         # the config pins precision=6, so compare at that resolution
         assert table2["T"][2] == pytest.approx(25.0 / 26.0, abs=1e-6)
+
+
+SWEEP3 = ["spectrum", "--axis", "detuning", "--range=-1:1:3"]
+
+
+@pytest.mark.parametrize("argv, ini", [
+    pytest.param(SWEEP3, "[output]\nformat = xml\n", id="format-choice"),
+    pytest.param(["trap"], "[trap]\nvariant = bogus\n", id="variant-choice"),
+    pytest.param(SWEEP3, "[params]\ndetunning = 5\n", id="unknown-key"),
+    pytest.param(SWEEP3, "[output]\nstamp = maybe\n", id="not-a-boolean"),
+    pytest.param(["sidebands", "--out", "side.csv"],
+                 "[sweep]\npreset = fig4b\norders = 0,1\n", id="preset-orders"),
+    pytest.param(SWEEP3, "[output]\nconfig = other.ini\n", id="config-key"),
+    pytest.param(SWEEP3, "[output]\ndump_config = true\n", id="dump-config-key"),
+    pytest.param(["oracle"], "[oracle]\ntol_hb = small\n", id="bad-type"),
+    pytest.param(["spectrum", "--preset", "fig4b"], "[sweep]\norders = 0,1\n",
+                 id="spectrum-orders"),
+])
+def test_config_keys_go_through_the_flag_parser(argv, ini, tmp_path, capsys,
+                                                monkeypatch, request):
+    """A key is its flag: what the flag refuses exits 64 before running."""
+    monkeypatch.chdir(tmp_path)
+    Path("run.ini").write_text(ini)
+    if "preset = fig4b" in ini and argv[0] == "sidebands":
+        # the file's orders are explicit and replace the preset's 0,1,2
+        assert main(argv + ["--config", "run.ini"]) == 0
+        _, header, _ = read_csv(tmp_path / "side.csv")
+        assert "T_1" in header and "T_2" not in header
+        return
+    request.getfixturevalue("no_engine")
+    assert main(argv + ["--config", "run.ini"]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--axis", "mod_freq", "--range", "0.5:2:3",
+     "--mod-amp-energy", "2", "--detuning", "-0.0", "--method", "both",
+     "--precision", "16"],
+    ["sidebands", "--preset", "fig4a", "--orders", "0,3", "--format", "json"],
+    ["oracle", "--cases", "5:2", "--delta-range", "-1:1:3"],
+    ["trap", "--release", "--cells", "1500", "--bandwidth", "0.1",
+     "--series-out", "series.csv"],
+], ids=lambda argv: argv[0])
+def test_dump_replays_the_run(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = argv + ["--out", "data.out"]
+    assert main(argv + ["--dump-config"]) == 0
+    text = capsys.readouterr().out
+    Path("run.ini").write_text(text)
+    assert main([argv[0], "--config", "run.ini", "--dump-config"]) == 0
+    assert capsys.readouterr().out == text
+    assert main(argv) == 0
+    written = [path for path in sorted(tmp_path.iterdir())
+               if path.name != "run.ini"]
+    first = [path.read_bytes() for path in written]
+    for path in written:
+        path.unlink()
+    assert main([argv[0], "--config", "run.ini"]) == 0
+    assert [path.read_bytes() for path in written] == first
+    assert len(written) == (2 if "--series-out" in argv else 1)
+
+
+MOD_FREQ_AXIS = ["spectrum", "--axis", "mod_freq", "--range", "0.5:2:3",
+                 "--mod-amp-energy", "2"]
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (MOD_FREQ_AXIS, "--detuning", "-1e-3"),
+    (MOD_FREQ_AXIS, "--detuning", "-.5"),
+    (MOD_FREQ_AXIS, "--detuning", "-inf"),
+    (["spectrum", "--axis", "mod_freq", "--mod-amp-energy", "2"],
+     "--range", "-1E+0:2:3"),
+    (["spectrum", "--axis", "detuning", "--range", "-1:1:3",
+      "--mod-amp-energy", "2"], "--mod-freq", "-2e0"),
+    (["sidebands", "--axis", "detuning", "--range", "-1:1:3",
+      "--mod-amp-energy", "2", "--mod-freq", "2"], "--orders", "-1,0,1"),
+    (["spectrum", "--axis", "detuning", "--range", "-1:1:3", "--raw-units",
+      "--group-velocity", "1"], "--coupling", "-1e-3"),
+    (["oracle", "--cases", "5:2", "--delta-range", "-1:1:3"],
+     "--tol-hb", "-1e-8"),
+    (["oracle", "--delta-range", "-1:1:3"], "--cases", "-5e0:2"),
+    (["trap"], "--bandwidth", "-1e-1"),
+    (["trap"], "--amp-energy", "-inf"),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_dash_led_values_read_as_with_equals(argv, flag, value, capsys):
+    """'--flag -value' means '--flag=-value' for every flag taking a value."""
+    expected = main(argv + [f"{flag}={value}"]), capsys.readouterr()
+    assert (main(argv + [flag, value]), capsys.readouterr()) == expected
+    assert "expected one argument" not in expected[1].err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--stamp", "-1"], ["--raw-units", "-1e-3"], ["--release", "-h"],
+    ["--detuning", "-h"], ["--out", "--stamp"], ["-h", "-1"],
+])
+def test_flags_without_a_value_glue_nothing(argv):
+    assert cli._join_dash_values(argv) == argv
+
+
+def test_bare_flags_are_the_parsers_valueless_flags():
+    parser = cli.build_parser()
+    commands = parser._subparsers._group_actions[0].choices.values()
+    actions = [a for p in (parser, *commands) for a in p._actions]
+    assert {opt for a in actions if a.nargs == 0
+            for opt in a.option_strings} == set(cli._BARE_FLAGS)
+    assert {a.dest for a in actions if a.const is True} == {
+        *cli._SWITCHES, "dump_config"}
 
 
 class TestSidebandsCommand:

@@ -3,6 +3,7 @@ import pytest
 from modscatter import (
     EmitterParams,
     TruncationSpec,
+    evaluate_sidebands,
     normalized_params,
 )
 
@@ -102,3 +103,16 @@ class TestTruncationSpec:
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError):
             TruncationSpec(sideband_max=-1, sum_max=4)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: EmitterParams(omega_a=10.0, mod_amp=0.5, mod_freq=1.0,
+                          coupling=1.0, group_velocity=1.0),
+    # Omega = 100 gamma puts sidebands of a 256-gamma modulation below zero
+    lambda: evaluate_sidebands(normalized_params(5.0, 256.0, omega_ratio=100.0),
+                               2.0),
+], ids=["EmitterParams", "evaluate_sidebands"])
+def test_warnings_point_at_the_calling_code(call):
+    with pytest.warns(UserWarning) as records:
+        call()
+    assert [r.filename for r in records] == [__file__] * len(records)
