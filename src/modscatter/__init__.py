@@ -16,7 +16,6 @@ from .errors import (
 )
 from .params import (
     EmitterParams,
-    TruncationSpec,
     normalized_params,
 )
 from .bessel import bessel_j_sequence
@@ -67,7 +66,6 @@ __all__ = [
     "StaticLimitError",
     "TruncationError",
     "EmitterParams",
-    "TruncationSpec",
     "normalized_params",
     "bessel_j_sequence",
     "SidebandSet",

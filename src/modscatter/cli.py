@@ -45,6 +45,10 @@ MAX_PRECISION = 16  # %.16e gives 17 significant digits: every double round-trip
 
 
 class _Parser(argparse.ArgumentParser):
+    # flags and config keys are spelt in full: no prefix stands for a flag
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):  # usage errors exit 64, not argparse's 2
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)

@@ -90,9 +90,12 @@ def parse_range(text: str) -> tuple[float, float, int]:
 
 
 def load_config(path: str) -> dict[str, dict[str, str]]:
-    """Read an INI config into nested plain dicts."""
-    cp = configparser.ConfigParser()
-    read = cp.read(path)
+    """Read an INI config into nested plain dicts; '%' is literal."""
+    cp = configparser.ConfigParser(interpolation=None)
+    try:
+        read = cp.read(path)
+    except configparser.Error as exc:
+        raise ValueError(f"config file {path!r}: {exc}") from None
     if not read:
         raise FileNotFoundError(f"config file {path!r} not found")
     return {section: dict(cp.items(section)) for section in cp.sections()}
@@ -100,7 +103,7 @@ def load_config(path: str) -> dict[str, dict[str, str]]:
 
 def dump_config(sections: Mapping[str, Mapping[str, object]]) -> str:
     """Render nested dicts back to INI text (round-trips load_config)."""
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     for section, values in sections.items():
         cp[section] = {k: str(v) for k, v in values.items()}
     buf = io.StringIO()

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfRangeError, SingularSystemError
-from .params import EmitterParams, TruncationSpec
+from .params import EmitterParams
 from .scattering import SidebandSet, _assemble, evaluate_sidebands
 
 RESIDUAL_TOL = 1e-12
@@ -281,9 +281,7 @@ def amplitudes_from_excitation(
 ) -> SidebandSet:
     """Convert an excitation spectrum to amplitudes via r_n = V e_n/(i v_g)."""
     r = params.coupling * spec.coeffs / (1j * params.group_velocity)
-    n = int(spec.ns[-1])
-    trunc = TruncationSpec(sideband_max=n, sum_max=n)
-    return _assemble(params, detuning, trunc, spec.ns, np.asarray(r, complex))
+    return _assemble(params, detuning, spec.ns, np.asarray(r, complex))
 
 
 @dataclass(frozen=True)

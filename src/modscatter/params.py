@@ -97,21 +97,3 @@ def normalized_params(
         group_velocity=1.0,
     )
 
-
-@dataclass(frozen=True)
-class TruncationSpec:
-    """Series truncation bounds.
-
-    Amplitudes are computed for sideband orders n in [-sideband_max,
-    sideband_max]; each amplitude sums Bessel terms l in [-sum_max, sum_max].
-    The sum must cover every computed order, so sum_max >= sideband_max.
-    """
-
-    sideband_max: int
-    sum_max: int
-
-    def __post_init__(self):
-        if self.sideband_max < 0:
-            raise ValueError("sideband_max must be >= 0")
-        if self.sum_max < self.sideband_max:
-            raise ValueError("sum_max must be >= sideband_max")

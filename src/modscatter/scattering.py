@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -26,51 +25,27 @@ from .errors import (
     TruncationError,
     caller_stacklevel,
 )
-from .params import EmitterParams, TruncationSpec
+from .params import EmitterParams
 
-
-class SidebandEntry(NamedTuple):
-    n: int
-    omega_n: float
-    q_n: float
-    r_n: complex
-    t_n: complex
-    propagating: bool
+# The Bessel sum of every r_n with |n| <= N runs over l in [-(N + SUM_MARGIN),
+# N + SUM_MARGIN], so it always covers the computed orders.
+SUM_MARGIN = 8
 
 
 @dataclass(frozen=True)
 class SidebandSet:
-    """Per-sideband amplitudes plus totals for one scattering evaluation."""
+    """Per-sideband amplitudes plus totals for one scattering evaluation.
+
+    The truncation window is n in [-N, N] with N = ns[-1].
+    """
 
     ns: np.ndarray          # sideband orders, ascending
     omega: np.ndarray       # omega_n = omega_0 + n*omega
-    q: np.ndarray           # q_n = omega_n / v_g
     r: np.ndarray           # reflection amplitudes
     t: np.ndarray           # transmission amplitudes, t_n = r_n + delta_{n0}
     total_T: float
     total_R: float
     unitarity_defect: float
-    truncation_used: TruncationSpec
-
-    @property
-    def entries(self) -> Iterator[SidebandEntry]:
-        for i, n in enumerate(self.ns):
-            yield SidebandEntry(
-                int(n),
-                float(self.omega[i]),
-                float(self.q[i]),
-                complex(self.r[i]),
-                complex(self.t[i]),
-                bool(self.omega[i] > 0),
-            )
-
-    def amplitude(self, n: int, which: str = "t") -> complex:
-        if which not in ("r", "t"):
-            raise ValueError(f"which must be 'r' or 't', not {which!r}")
-        i = int(n) - int(self.ns[0])
-        if i < 0 or i >= len(self.ns):
-            raise IndexError(f"sideband order {n} outside truncation window")
-        return complex(self.t[i] if which == "t" else self.r[i])
 
 
 def modulation_index(params: EmitterParams) -> float:
@@ -91,10 +66,11 @@ def _bessel_window(u: float, k_max: int) -> np.ndarray:
     return np.concatenate([neg, pos])
 
 
-def _series_tables(u: float, mod_freq: float, N: int, L: int) -> tuple:
-    """The detuning-independent parts of the series at one (u, omega, N, L):
+def _series_tables(u: float, mod_freq: float, N: int) -> tuple:
+    """The detuning-independent parts of the series at one (u, omega, N):
     J_l(u) for l in [-L, L], the (2N+1, 2L+1) lookup J_{n+l}(u) and
-    l*omega."""
+    l*omega, with L = N + SUM_MARGIN."""
+    L = N + SUM_MARGIN
     jw = _bessel_window(u, N + L)  # indices k+N+L
     ns = np.arange(-N, N + 1)
     ls = np.arange(-L, L + 1)
@@ -106,7 +82,7 @@ def _series_tables(u: float, mod_freq: float, N: int, L: int) -> tuple:
 def _series_r(
     params: EmitterParams,
     detuning: float,
-    trunc: TruncationSpec,
+    N: int,
     tables: dict | None = None,
 ) -> np.ndarray:
     """Reflection amplitudes r_n for n in [-N, N] by direct series summation.
@@ -115,12 +91,11 @@ def _series_r(
     stored on a miss; the dict holds one u at a time, so a new u clears it.
     """
     gamma = params.gamma
-    N, L = trunc.sideband_max, trunc.sum_max
     if params.coupling == 0:
         return np.zeros(2 * N + 1, complex)
     u = modulation_index(params)
     tables = {} if tables is None else tables
-    key = (u, params.mod_freq, N, L)
+    key = (u, params.mod_freq, N)
     if key not in tables:
         if any(k[0] != u for k in tables):
             tables.clear()
@@ -133,7 +108,6 @@ def _series_r(
 def _assemble(
     params: EmitterParams,
     detuning: float,
-    trunc: TruncationSpec,
     ns: np.ndarray,
     r: np.ndarray,
 ) -> SidebandSet:
@@ -143,7 +117,6 @@ def _assemble(
         t[i0[0]] += 1.0
     omega_0 = params.omega_a + detuning
     omega_n = omega_0 + ns * params.mod_freq
-    q_n = omega_n / params.group_velocity
     if np.any(omega_n <= 0):
         warnings.warn(
             f"{int(np.sum(omega_n <= 0))} sideband(s) fall at non-positive "
@@ -156,24 +129,23 @@ def _assemble(
     return SidebandSet(
         ns=ns,
         omega=omega_n,
-        q=q_n,
         r=r,
         t=t,
         total_T=total_T,
         total_R=total_R,
         unitarity_defect=abs(1.0 - (total_T + total_R)),
-        truncation_used=trunc,
     )
 
 
 def reflection_amplitudes(
     params: EmitterParams,
     detuning: float,
-    truncation: TruncationSpec,
+    sideband_max: int,
     *,
     tables: dict | None = None,
 ) -> SidebandSet:
-    """Evaluate the sideband amplitudes at one detuning and truncation.
+    """Evaluate the sideband amplitudes at one detuning for n in
+    [-sideband_max, sideband_max].
 
     The returned set carries both r_n and t_n (one series evaluation; the
     transmission side is the structural identity, never a second sum).
@@ -183,9 +155,11 @@ def reflection_amplitudes(
         raise StaticLimitError(
             "mod_freq=0 has no sideband structure; use static_limit_amplitudes"
         )
-    n = truncation.sideband_max
-    r = _series_r(params, detuning, truncation, tables)
-    return _assemble(params, detuning, truncation, np.arange(-n, n + 1), r)
+    if sideband_max < 0:
+        raise ValueError("sideband_max must be >= 0")
+    r = _series_r(params, detuning, sideband_max, tables)
+    ns = np.arange(-sideband_max, sideband_max + 1)
+    return _assemble(params, detuning, ns, r)
 
 
 def static_limit_amplitudes(params: EmitterParams, detuning: float) -> SidebandSet:
@@ -208,8 +182,7 @@ def static_limit_amplitudes(params: EmitterParams, detuning: float) -> SidebandS
         r0 = 0.0 + 0.0j
     else:
         r0 = -1j * gamma / (delta_eff + 1j * gamma)
-    trunc = TruncationSpec(sideband_max=0, sum_max=0)
-    return _assemble(params, detuning, trunc, np.arange(0, 1), np.array([r0]))
+    return _assemble(params, detuning, np.arange(0, 1), np.array([r0]))
 
 
 def auto_truncation(
@@ -222,9 +195,9 @@ def auto_truncation(
     """The first sideband set whose unitarity defect is below tol.
 
     Starts at N = ceil(u + 8 u^(1/3) + 12) (the Bessel turnover plus an
-    Airy-width margin), L = N + 8, and doubles N until the defect passes or
-    the hard cap N = 512 is exceeded. The converged set is returned as
-    evaluated; its truncation is `truncation_used`.
+    Airy-width margin) and doubles N until the defect passes or the hard
+    cap N = 512 is exceeded. The converged set is returned as evaluated;
+    its truncation is N = ns[-1].
     """
     if not (tol > 0):
         raise ValueError("tol must be positive")
@@ -233,8 +206,7 @@ def auto_truncation(
     n = min(n, 512)
     best_defect = np.inf
     while True:
-        trunc = TruncationSpec(sideband_max=n, sum_max=n + 8)
-        sset = reflection_amplitudes(params, detuning, trunc, tables=tables)
+        sset = reflection_amplitudes(params, detuning, n, tables=tables)
         best_defect = min(best_defect, sset.unitarity_defect)
         if sset.unitarity_defect < tol:
             return sset

@@ -453,6 +453,54 @@ def test_config_keys_go_through_the_flag_parser(argv, ini, tmp_path, capsys,
     assert "error:" in captured.err
 
 
+@pytest.mark.parametrize("ini, names", [
+    pytest.param("mod_amp_energy = 2\n", "bad.ini", id="no-section-header"),
+    pytest.param("[params]\nmod_freq = 2\nmod_freq = 3\n", "bad.ini",
+                 id="duplicate-key"),
+    # '%' is literal, so the value reaches --mod-freq as the string '2%'
+    pytest.param("[params]\nmod_freq = 2%\n", "'2%'", id="lone-percent"),
+])
+def test_malformed_config_is_a_usage_error(ini, names, tmp_path, capsys,
+                                           no_engine):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(ini)
+    assert main(["spectrum", "--preset", "fig3a", "--config", str(cfg)]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err and names in captured.err
+    assert "internal error" not in captured.err
+
+
+@pytest.mark.parametrize("argv, ini", [
+    pytest.param(SWEEP3 + ["--mod-amp", "2"], None, id="flag"),
+    pytest.param(SWEEP3, "[params]\nmod_amp = 2\n", id="config-key"),
+])
+def test_abbreviated_names_refused(argv, ini, tmp_path, capsys, no_engine):
+    """No prefix of --mod-amp-energy stands for it, on the command line or
+    as a config key."""
+    if ini is not None:
+        (tmp_path / "run.ini").write_text(ini)
+        argv = argv + ["--config", str(tmp_path / "run.ini")]
+    assert main(argv) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --mod-amp" in captured.err
+
+
+def test_percent_in_out_path_dumps_and_replays(tmp_path, capsys, monkeypatch):
+    """'%' is literal in a dumped config, so the replay writes the same file."""
+    monkeypatch.chdir(tmp_path)
+    argv = SWEEP3 + ["--mod-amp-energy", "5", "--mod-freq", "2",
+                     "--precision", "16"]
+    assert main(argv + ["--out", "s%1.csv", "--dump-config"]) == 0
+    text = capsys.readouterr().out
+    assert "out = s%1.csv" in text
+    Path("run.ini").write_text(text)
+    assert main(["spectrum", "--config", "run.ini"]) == 0
+    assert main(argv + ["--out", "s2.csv"]) == 0
+    assert Path("s%1.csv").read_bytes() == Path("s2.csv").read_bytes()
+
+
 @pytest.mark.parametrize("argv", [
     ["spectrum", "--axis", "mod_freq", "--range", "0.5:2:3",
      "--mod-amp-energy", "2", "--detuning", "-0.0", "--method", "both",

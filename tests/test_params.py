@@ -2,7 +2,6 @@ import pytest
 
 from modscatter import (
     EmitterParams,
-    TruncationSpec,
     evaluate_sidebands,
     normalized_params,
 )
@@ -85,24 +84,6 @@ class TestNormalizedParams:
     def test_zero_amp_allowed(self):
         p = normalized_params(0.0, 2.0)
         assert p.mod_amp == 0.0
-
-
-class TestTruncationSpec:
-    def test_defaults_ordered(self):
-        spec = TruncationSpec(sideband_max=10, sum_max=14)
-        assert spec.sum_max >= spec.sideband_max
-
-    def test_sum_max_cannot_undershoot(self):
-        with pytest.raises(ValueError):
-            TruncationSpec(sideband_max=10, sum_max=4)
-
-    def test_carrier_only_window_is_legal(self):
-        spec = TruncationSpec(sideband_max=0, sum_max=0)
-        assert spec.sideband_max == 0
-
-    def test_invalid_values_rejected(self):
-        with pytest.raises(ValueError):
-            TruncationSpec(sideband_max=-1, sum_max=4)
 
 
 @pytest.mark.parametrize("call", [

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import jv
 
 from modscatter import (
     EmitterParams,
@@ -11,7 +12,6 @@ from modscatter import (
     NotStaticError,
     StaticLimitError,
     TruncationError,
-    TruncationSpec,
     auto_truncation,
     amplitudes_from_excitation,
     evaluate_sidebands,
@@ -48,15 +48,15 @@ class TestStaticLimit:
     def test_unmodulated_on_resonance_reflects_fully(self):
         p = normalized_params(0.0, 0.0)
         out = static_limit_amplitudes(p, 0.0)
-        assert out.amplitude(0, "r") == pytest.approx(-1.0 + 0.0j, abs=1e-15)
-        assert out.amplitude(0, "t") == pytest.approx(0.0 + 0.0j, abs=1e-15)
+        assert out.r[0] == pytest.approx(-1.0 + 0.0j, abs=1e-15)
+        assert out.t[0] == pytest.approx(0.0 + 0.0j, abs=1e-15)
         assert out.total_T == pytest.approx(0.0, abs=1e-15)
         assert out.total_R == pytest.approx(1.0, abs=1e-15)
 
     def test_unmodulated_at_one_linewidth(self):
         p = normalized_params(0.0, 0.0)
         out = static_limit_amplitudes(p, 1.0)
-        assert out.amplitude(0, "r") == pytest.approx(-(1 + 1j) / 2, abs=1e-15)
+        assert out.r[0] == pytest.approx(-(1 + 1j) / 2, abs=1e-15)
         assert out.total_T == pytest.approx(0.5, abs=1e-15)
         assert out.total_R == pytest.approx(0.5, abs=1e-15)
 
@@ -103,24 +103,11 @@ class TestSeriesAmplitudes:
         np.testing.assert_allclose(
             out.omega, omega_in + out.ns * p.mod_freq, rtol=0, atol=1e-12
         )
-        np.testing.assert_allclose(
-            out.q, out.omega / p.group_velocity, rtol=0, atol=1e-12
-        )
-
-    def test_entries_iterator_consistent(self, params_reference):
-        out = evaluate_sidebands(params_reference, 0.0)
-        entries = list(out.entries)
-        assert len(entries) == len(out.ns)
-        e = entries[len(entries) // 2]
-        assert e.n == 0
-        assert e.r_n == out.amplitude(0, "r")
-        assert e.t_n == out.amplitude(0, "t")
-        assert e.propagating
-
-    def test_amplitude_refuses_unknown_side(self, params_reference):
-        out = evaluate_sidebands(params_reference, 0.0)
-        with pytest.raises(ValueError, match="'r' or 't'"):
-            out.amplitude(0, "T")
+        # one frequency and one amplitude pair per order of the window [-N, N];
+        # the momenta q_n = omega_n / v_g follow from omega alone
+        n_max = int(out.ns[-1])
+        np.testing.assert_array_equal(out.ns, np.arange(-n_max, n_max + 1))
+        assert out.omega.shape == out.r.shape == out.t.shape == out.ns.shape
 
     def test_nonphysical_sideband_warning(self):
         p = normalized_params(5.0, 2.0, omega_ratio=10.0)
@@ -165,8 +152,7 @@ class TestExcitationCoefficients:
             omega_a=1000.0, mod_amp=0.005, mod_freq=2.0,
             coupling=0.0, group_velocity=1.0,
         )
-        trunc = TruncationSpec(sideband_max=8, sum_max=12)
-        out = reflection_amplitudes(dark, 0.7, trunc)
+        out = reflection_amplitudes(dark, 0.7, 8)
         assert len(out.r) == 17
         assert np.all(out.r == 0.0)
 
@@ -189,18 +175,37 @@ class TestTruncationControl:
 
     def test_auto_truncation_small_index_is_lean(self, params_unmodulated):
         out = auto_truncation(params_unmodulated, 0.0, tol=1e-10)
-        assert out.truncation_used.sideband_max <= 16
+        assert out.ns[-1] <= 16
 
     def test_auto_truncation_strong_drive(self):
         p = normalized_params(50.0, 2.0)
         out = auto_truncation(p, 0.0, tol=1e-9)
         assert out.unitarity_defect < 1e-9
-        assert out.truncation_used.sideband_max >= 25
+        assert out.ns[-1] >= 25
 
     def test_undersized_window_reports_defect(self, params_reference):
-        tight = TruncationSpec(sideband_max=2, sum_max=2)
-        out = reflection_amplitudes(params_reference, 0.0, tight)
+        out = reflection_amplitudes(params_reference, 0.0, 2)
         assert out.unitarity_defect > 1e-3
+
+    def test_negative_window_refused(self, params_reference):
+        with pytest.raises(ValueError, match="sideband_max"):
+            reflection_amplitudes(params_reference, 0.0, -1)
+
+    def test_carrier_only_window(self, params_reference):
+        out = reflection_amplitudes(params_reference, 0.0, 0)
+        assert list(out.ns) == [0]
+
+    def test_sum_runs_past_the_window(self):
+        """At N = 2 the Bessel sum still runs over l in [-(N+8), N+8]."""
+        p, delta, n_max = normalized_params(5.0, 2.0), 0.3, 2
+        u, ls = modulation_index(p), np.arange(-10, 11)
+        expected = [
+            np.sum(-1j * jv(ls, u) * jv(n + ls, u)
+                   / (delta - ls * p.mod_freq + 1j))
+            for n in range(-n_max, n_max + 1)
+        ]
+        out = reflection_amplitudes(p, delta, n_max)
+        np.testing.assert_allclose(out.r, expected, rtol=0, atol=1e-12)
 
     def test_overdriven_index_hits_cap_and_raises(self):
         with warnings.catch_warnings():
@@ -217,14 +222,13 @@ class TestTruncationControl:
 
     def test_truncation_recorded_on_result(self, params_reference):
         out = evaluate_sidebands(params_reference, 0.0)
-        assert out.truncation_used.sideband_max >= 1
-        assert len(out.ns) == 2 * out.truncation_used.sideband_max + 1
+        assert out.ns[-1] >= 1
+        assert len(out.ns) == 2 * out.ns[-1] + 1
 
 
 def same_bits(a, b):
     """a and b hold bitwise identical amplitudes, totals and truncation."""
-    assert a.truncation_used == b.truncation_used
-    for name in ("ns", "omega", "q", "r", "t"):
+    for name in ("ns", "omega", "r", "t"):
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
     for name in ("total_T", "total_R", "unitarity_defect"):
         bits = [np.float64(getattr(s, name)).tobytes() for s in (a, b)]
@@ -239,9 +243,9 @@ class TestOneSeriesEvaluationPerPoint:
         calls = []
         series = scattering.reflection_amplitudes
 
-        def counted(params, detuning, truncation, **kwargs):
-            sset = series(params, detuning, truncation, **kwargs)
-            calls.append(truncation.sideband_max)
+        def counted(params, detuning, sideband_max, **kwargs):
+            sset = series(params, detuning, sideband_max, **kwargs)
+            calls.append(sideband_max)
             if len(calls) <= unconverged:
                 # a defect above any tolerance makes the truncation double
                 sset = dataclasses.replace(sset, unitarity_defect=1.0)
@@ -256,7 +260,7 @@ class TestOneSeriesEvaluationPerPoint:
         calls, series = self.count_series_calls(monkeypatch)
         sset = evaluate_sidebands(params, delta)
         assert len(calls) == 1
-        same_bits(sset, series(params, delta, sset.truncation_used))
+        same_bits(sset, series(params, delta, int(sset.ns[-1])))
 
     @pytest.mark.parametrize("amp, freq, delta, forced, sizes", [
         # the resonant term l = Delta/omega = -30 shifts the comb by 30
@@ -272,8 +276,8 @@ class TestOneSeriesEvaluationPerPoint:
         calls, series = self.count_series_calls(monkeypatch, unconverged=forced)
         sset = evaluate_sidebands(params, delta)
         assert calls == sizes  # doublings + 1 evaluations
-        assert sset.truncation_used.sideband_max == sizes[-1]
-        same_bits(sset, series(params, delta, sset.truncation_used))
+        assert sset.ns[-1] == sizes[-1]
+        same_bits(sset, series(params, delta, int(sset.ns[-1])))
 
 
 @settings(max_examples=40, deadline=None)
