@@ -55,28 +55,29 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-# the flags that take no value, so a dash-led token after one is not glued
-_BARE_FLAGS = ("-h", "--help", "--version", "--dump-config",
-               "--raw-units", "--release", "--stamp")
-# the store_true flags a config file sets, with a configparser boolean
-_SWITCHES = ("raw_units", "release", "stamp")
-_SWEEP_SECTIONS = ("params", "sweep", "output")
+def _commands(parser: argparse.ArgumentParser) -> dict:
+    """Subcommand name -> its parser."""
+    return parser._subparsers._group_actions[0].choices
 
 
-def _join_dash_values(argv: list[str]) -> list[str]:
+def _join_dash_values(parser: argparse.ArgumentParser,
+                      argv: list[str]) -> list[str]:
     """Glue '--detuning -1e-3' into '--detuning=-1e-3'.
 
     argparse refuses option values that start with a dash unless they look
     like plain negative numbers, and exponents, -inf and range triplets do
     not. A single-dash token other than -h after a flag that takes a value
-    is that flag's value.
+    is that flag's value; the parser says which flags take none.
     """
+    bare = {opt for p in (parser, *_commands(parser).values())
+            for action in p._actions if action.nargs == 0
+            for opt in action.option_strings}
     out = []
     i = 0
     while i < len(argv):
         tok = argv[i]
         nxt = argv[i + 1] if i + 1 < len(argv) else ""
-        if (tok.startswith("--") and "=" not in tok and tok not in _BARE_FLAGS
+        if (tok.startswith("--") and "=" not in tok and tok not in bare
                 and nxt.startswith("-") and not nxt.startswith("--")
                 and nxt != "-h"):
             out.append(f"{tok}={nxt}")
@@ -87,36 +88,51 @@ def _join_dash_values(argv: list[str]) -> list[str]:
     return out
 
 
+# An option a config file may set sits in the argument group titled by its
+# INI section; --config and --dump-config sit in none.
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", help="output file (default: dataset to stdout)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--precision", type=int, default=12,
-                   help=f"digits after the point, 0 to {MAX_PRECISION} (default 12)")
-    p.add_argument("--stamp", action="store_true",
-                   help="include a timestamp line in the metadata")
-    p.add_argument("--config", help="INI config file; explicit flags override it")
+    output = p.add_argument_group("output")
+    output.add_argument("--out",
+                        help="output file (default: dataset to stdout)")
+    output.add_argument("--format", choices=("csv", "json"), default="csv")
+    output.add_argument("--precision", type=int, default=12,
+                        help=f"digits after the point, 0 to {MAX_PRECISION} "
+                             "(default 12)")
+    output.add_argument("--stamp", action="store_true",
+                        help="include a timestamp line in the metadata")
+    p.add_argument("--config",
+                   help="INI config file; explicit flags override it")
     p.add_argument("--dump-config", action="store_true",
-                   help="print the effective config and exit without running")
+                   help="print the config as given and exit without running")
 
 
-def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--preset", help="named preset (see the presets command)")
-    p.add_argument("--axis", choices=("detuning", "mod_amp_energy", "mod_freq"))
-    p.add_argument("--range", dest="axis_range", metavar="START:STOP:POINTS")
-    p.add_argument("--detuning", type=float, default=None)
-    p.add_argument("--mod-amp-energy", type=float, default=None,
-                   help="modulation amplitude in energy units (f*Omega)")
-    p.add_argument("--mod-freq", type=float, default=None)
-    p.add_argument("--method", choices=("series", "harmonic_balance", "both"),
-                   default=None)
-    p.add_argument("--raw-units", action="store_true", default=None,
-                   help="interpret frequency-valued inputs in raw rad/time")
-    p.add_argument("--coupling", type=float, default=None,
-                   help="bare coupling V (raw units only)")
-    p.add_argument("--group-velocity", type=float, default=None,
-                   help="waveguide group velocity (raw units only)")
-    p.add_argument("--omega-a", type=float, default=None,
-                   help="static transition frequency (raw units only)")
+def _add_sweep_flags(p: argparse.ArgumentParser, orders: bool) -> None:
+    sweep = p.add_argument_group("sweep")
+    sweep.add_argument("--preset",
+                       help="named preset (see the presets command)")
+    sweep.add_argument("--axis",
+                       choices=("detuning", "mod_amp_energy", "mod_freq"))
+    sweep.add_argument("--range", dest="axis_range",
+                       metavar="START:STOP:POINTS")
+    sweep.add_argument("--method",
+                       choices=("series", "harmonic_balance", "both"))
+    if orders:
+        sweep.add_argument("--orders", help="comma-separated sideband "
+                                            "orders (default 0,1,2)")
+    params = p.add_argument_group("params")
+    params.add_argument("--detuning", type=float)
+    params.add_argument("--mod-amp-energy", type=float,
+                        help="modulation amplitude in energy units (f*Omega)")
+    params.add_argument("--mod-freq", type=float)
+    params.add_argument(
+        "--raw-units", action="store_true", default=None,
+        help="interpret frequency-valued inputs in raw rad/time")
+    params.add_argument("--coupling", type=float,
+                        help="bare coupling V (raw units only)")
+    params.add_argument("--group-velocity", type=float,
+                        help="waveguide group velocity (raw units only)")
+    params.add_argument("--omega-a", type=float,
+                        help="static transition frequency (raw units only)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -125,43 +141,41 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
-    p_spec = sub.add_parser("spectrum", help="total T/R over one swept axis")
-    _add_sweep_flags(p_spec)
-    _add_output_flags(p_spec)
-    p_spec.set_defaults(func=cmd_spectrum, sections=_SWEEP_SECTIONS)
-
-    p_side = sub.add_parser("sidebands", help="per-sideband T_n over one axis")
-    _add_sweep_flags(p_side)
-    p_side.add_argument("--orders", default=None,
-                        help="comma-separated sideband orders (default 0,1,2)")
-    _add_output_flags(p_side)
-    p_side.set_defaults(func=cmd_sidebands, sections=_SWEEP_SECTIONS)
+    for name, orders, about in (
+            ("spectrum", False, "total T/R over one swept axis"),
+            ("sidebands", True, "per-sideband T_n over one axis")):
+        p_sweep = sub.add_parser(name, help=about)
+        _add_sweep_flags(p_sweep, orders)
+        _add_output_flags(p_sweep)
+        p_sweep.set_defaults(func=cmd_sweep)
 
     p_or = sub.add_parser("oracle", help="three-way solver cross-validation")
-    p_or.add_argument("--cases", default="5:2,5:8,2:2,8:2",
-                      help="comma list of ampEnergy:freq pairs, gamma units")
-    p_or.add_argument("--delta-range", default="-10:10:21",
-                      metavar="START:STOP:POINTS")
-    p_or.add_argument("--tol-hb", type=float, default=1e-8)
-    p_or.add_argument("--tol-td", type=float, default=1e-3)
+    oracle = p_or.add_argument_group("oracle")
+    oracle.add_argument("--cases", default="5:2,5:8,2:2,8:2",
+                        help="comma list of ampEnergy:freq pairs, gamma units")
+    oracle.add_argument("--delta-range", default="-10:10:21",
+                        metavar="START:STOP:POINTS")
+    oracle.add_argument("--tol-hb", type=float, default=1e-8)
+    oracle.add_argument("--tol-td", type=float, default=1e-3)
     _add_output_flags(p_or)
-    p_or.set_defaults(func=cmd_oracle, sections=("oracle", "output"))
+    p_or.set_defaults(func=cmd_oracle)
 
     p_trap = sub.add_parser("trap", help="two-emitter photon trap protocol")
-    p_trap.add_argument("--bandwidth", type=float, default=0.05,
-                        help="packet bandwidth in gamma units (default 0.05)")
-    p_trap.add_argument("--amp-energy", type=float, default=4.81)
-    p_trap.add_argument("--mod-freq", type=float, default=2.0)
-    p_trap.add_argument("--cells", type=int, default=20000)
-    p_trap.add_argument("--variant",
-                        choices=("trap", "control", "always-on"), default="trap")
-    p_trap.add_argument("--release", action="store_true",
-                        help="re-modulate the right mirror at measure time")
-    p_trap.add_argument("--series-out",
-                        help="write the intra-cavity probability time series")
-    p_trap.add_argument("--series-stride", type=int, default=10)
+    trap = p_trap.add_argument_group("trap")
+    trap.add_argument("--bandwidth", type=float, default=0.05,
+                      help="packet bandwidth in gamma units (default 0.05)")
+    trap.add_argument("--amp-energy", type=float, default=4.81)
+    trap.add_argument("--mod-freq", type=float, default=2.0)
+    trap.add_argument("--cells", type=int, default=20000)
+    trap.add_argument("--variant",
+                      choices=("trap", "control", "always-on"), default="trap")
+    trap.add_argument("--release", action="store_true",
+                      help="re-modulate the right mirror at measure time")
+    trap.add_argument("--series-out",
+                      help="write the intra-cavity probability time series")
+    trap.add_argument("--series-stride", type=int, default=10)
     _add_output_flags(p_trap)
-    p_trap.set_defaults(func=cmd_trap, sections=("trap", "output"))
+    p_trap.set_defaults(func=cmd_trap)
 
     p_pre = sub.add_parser("presets", help="list bundled sweep presets")
     p_pre.set_defaults(func=cmd_presets)
@@ -169,50 +183,65 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_flags(parser, sections, cfg: dict[str, dict[str, str]]) -> list[str]:
+def _config_sections(command: argparse.ArgumentParser) -> dict:
+    """Section -> key -> option, read from the subcommand's argument groups:
+    the one table of which INI section holds which option."""
+    return {group.title: {a.option_strings[0][2:].replace("-", "_"): a
+                          for a in group._group_actions}
+            for group in command._action_groups
+            if group not in (command._positionals, command._optionals)}
+
+
+def _config_flags(command: argparse.ArgumentParser,
+                  cfg: dict[str, dict[str, str]]) -> list[str]:
     """The keys of the sections a subcommand reads, as its flags:
-    'key = value' becomes '--key=value', a switch set true the bare flag."""
+    'key = value' becomes '--key=value', a switch set true the bare flag.
+    An option of the subcommand given in a section not its own exits 64;
+    an unknown key goes on as a flag, for argparse to refuse."""
+    sections = _config_sections(command)
     flags = []
-    for section in sections:
+    for section, actions in sections.items():
         for key, value in cfg.get(section, {}).items():
             flag = "--" + key.replace("_", "-")
-            if key in ("config", "dump_config"):
-                parser.error(f"[{section}] {key} is not a config key")
-            if key not in _SWITCHES:
+            action = actions.get(key)
+            if action is None and flag in command._option_string_actions:
+                home = [name for name, keys in sections.items() if key in keys]
+                command.error(f"[{section}] {key} " + (
+                    f"belongs in [{home[0]}]" if home
+                    else "is not a config key"))
+            if action is None or action.nargs != 0:
                 flags.append(f"{flag}={value}")
                 continue
             state = configparser.ConfigParser.BOOLEAN_STATES.get(value.lower())
             if state is None:
-                parser.error(f"[{section}] {key} = {value!r} is not a boolean")
+                command.error(
+                    f"[{section}] {key} = {value!r} is not a boolean")
             if state:
                 flags.append(flag)
     return flags
 
 
-def _output_options(args) -> dict:
-    if not 0 <= args.precision <= MAX_PRECISION:
-        raise OutOfRangeError(
-            f"precision {args.precision} outside [0, {MAX_PRECISION}]"
-        )
-    return {"out": args.out, "format": args.format,
-            "precision": args.precision, "stamp": args.stamp}
+def _write_config(args) -> int:
+    """Print the options a config file may set, as given, each under its
+    own section; options left unset are not written."""
+    command = _commands(build_parser())[args.command]
+    sections = {
+        section: {key: getattr(args, action.dest)
+                  for key, action in actions.items()
+                  if getattr(args, action.dest) is not None}
+        for section, actions in _config_sections(command).items()
+    }
+    sys.stdout.write(dump_config({k: v for k, v in sections.items() if v}))
+    return EXIT_OK
 
 
-def _write_config(sections: dict[str, dict]) -> None:
-    """Print the effective config; options left unset are not written."""
-    sys.stdout.write(dump_config({
-        name: {k: v for k, v in values.items() if v is not None}
-        for name, values in sections.items()
-    }))
-
-
-def _emit(args, meta, header, rows, opts, summary: str) -> None:
-    if opts["stamp"]:
+def _emit(args, meta, header, rows, summary: str) -> None:
+    if args.stamp:
         meta = {**meta, "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S")}
-    render = render_csv if opts["format"] == "csv" else render_json
-    text = render(meta, header, rows, precision=opts["precision"])
-    if opts["out"]:
-        with open(opts["out"], "w") as fh:
+    render = render_csv if args.format == "csv" else render_json
+    text = render(meta, header, rows, precision=args.precision)
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
         print(summary)
     else:
@@ -252,6 +281,9 @@ def _sweep_spec_from(args) -> SweepSpec:
              for attr in ("detuning", "mod_amp_energy", "mod_freq")}
     overrides = {}
     if args.preset is not None:
+        if args.axis is not None or args.axis_range is not None:
+            raise ValueError("--preset sets its own axis and range: drop "
+                             "--axis and --range ([sweep] axis, range)")
         presets = figure_presets()
         if args.preset not in presets:
             raise ValueError(f"unknown preset {args.preset!r}; "
@@ -287,32 +319,30 @@ def _sweep_spec_from(args) -> SweepSpec:
     return spec
 
 
-def _sweep_meta(spec: SweepSpec, opts, extra=()) -> dict:
-    meta = {
+def _sweep_meta(spec: SweepSpec, precision: int) -> dict:
+    return {
         "generator": f"modscatter {__version__}",
         "dataset": spec.name or "custom",
         "axis": spec.axis,
-        "start": format_float(spec.start, opts["precision"]),
-        "stop": format_float(spec.stop, opts["precision"]),
+        "start": format_float(spec.start, precision),
+        "stop": format_float(spec.stop, precision),
         "points": spec.points,
-        "detuning": format_float(spec.detuning, opts["precision"]),
-        "mod_amp_energy": format_float(spec.mod_amp_energy, opts["precision"]),
-        "mod_freq": format_float(spec.mod_freq, opts["precision"]),
+        "detuning": format_float(spec.detuning, precision),
+        "mod_amp_energy": format_float(spec.mod_amp_energy, precision),
+        "mod_freq": format_float(spec.mod_freq, precision),
         "method": spec.method,
         "units": "gamma-normalized",
     }
-    meta.update(extra)
-    return meta
 
 
-def _run_sweep_command(args, want_orders: bool) -> int:
-    opts = _output_options(args)
+def cmd_sweep(args) -> int:
+    """spectrum and sidebands; sidebands reports orders 0-2 unless the
+    preset or --orders names others."""
     spec = _sweep_spec_from(args)
-    if want_orders and not spec.sideband_orders:
-        spec = dataclasses.replace(spec, sideband_orders=(0, 1, 2))
     if args.dump_config:
-        _write_config(_sweep_config(spec, opts, want_orders))
-        return EXIT_OK
+        return _write_config(args)
+    if "orders" in args and not spec.sideband_orders:
+        spec = dataclasses.replace(spec, sideband_orders=(0, 1, 2))
     ds = run_sweep(spec)
     header = [spec.axis]
     header += list(ds.columns.keys())
@@ -331,20 +361,11 @@ def _run_sweep_command(args, want_orders: bool) -> int:
         f"{spec.points} points, max unitarity defect "
         f"{format_float(max_defect, 3)}, flagged rows {n_flagged}"
     )
-    _emit(args, _sweep_meta(spec, opts), header, rows, opts, summary)
+    _emit(args, _sweep_meta(spec, args.precision), header, rows, summary)
     return EXIT_QUALITY if n_flagged else EXIT_OK
 
 
-def cmd_spectrum(args) -> int:
-    return _run_sweep_command(args, want_orders=False)
-
-
-def cmd_sidebands(args) -> int:
-    return _run_sweep_command(args, want_orders=True)
-
-
 def cmd_oracle(args) -> int:
-    opts = _output_options(args)
     rng, tol_hb, tol_td = args.delta_range, args.tol_hb, args.tol_td
     for flag, key, tol in (("--tol-hb", "tol_hb", tol_hb),
                            ("--tol-td", "tol_td", tol_td)):
@@ -366,12 +387,7 @@ def cmd_oracle(args) -> int:
         cases.append((amp, freq))
     start, stop, points = parse_range(rng)
     if args.dump_config:
-        _write_config({
-            "oracle": {"cases": args.cases, "delta_range": rng,
-                       "tol_hb": tol_hb, "tol_td": tol_td},
-            "output": opts,
-        })
-        return EXIT_OK
+        return _write_config(args)
     deltas = np.linspace(start, stop, points)
     header = ["mod_amp_energy", "mod_freq", "max_dev_series_hb",
               "max_dev_series_td", "max_defect_series", "max_defect_hb",
@@ -404,44 +420,34 @@ def cmd_oracle(args) -> int:
         f"{len(cases)} cases x {points} detunings: "
         + ("all solvers agree" if all_pass else "DISAGREEMENT")
     )
-    _emit(args, meta, header, rows, opts, summary)
+    _emit(args, meta, header, rows, summary)
     return EXIT_OK if all_pass else EXIT_QUALITY
 
 
 def cmd_trap(args) -> int:
-    opts = _output_options(args)
-    bandwidth, amp, freq = args.bandwidth, args.amp_energy, args.mod_freq
-    cells, variant, release = args.cells, args.variant, args.release
     stride = args.series_stride
     if stride < 1:
         raise OutOfRangeError(f"series stride {stride} must be >= 1")
     protocol = default_trap_protocol(
-        bandwidth=bandwidth,
-        amp_energy=amp,
-        mod_freq=freq,
-        n_cells=cells,
-        modulated=(variant != "control"),
-        switch_off=(variant != "always-on"),
-        release=release,
+        bandwidth=args.bandwidth,
+        amp_energy=args.amp_energy,
+        mod_freq=args.mod_freq,
+        n_cells=args.cells,
+        modulated=(args.variant != "control"),
+        switch_off=(args.variant != "always-on"),
+        release=args.release,
     )
     if args.dump_config:
-        _write_config({
-            "trap": {"bandwidth": bandwidth, "amp_energy": amp,
-                     "mod_freq": freq, "cells": cells, "variant": variant,
-                     "release": release, "series_out": args.series_out,
-                     "series_stride": stride},
-            "output": opts,
-        })
-        return EXIT_OK
+        return _write_config(args)
     report = run_protocol(protocol)
     meta = {
         "generator": f"modscatter {__version__}",
-        "dataset": f"trap-{variant}",
-        "bandwidth": format_float(bandwidth, opts["precision"]),
-        "mod_amp_energy": format_float(amp, opts["precision"]),
-        "mod_freq": format_float(freq, opts["precision"]),
-        "cells": cells,
-        "release": release,
+        "dataset": f"trap-{args.variant}",
+        "bandwidth": format_float(args.bandwidth, args.precision),
+        "mod_amp_energy": format_float(args.amp_energy, args.precision),
+        "mod_freq": format_float(args.mod_freq, args.precision),
+        "cells": args.cells,
+        "release": args.release,
         "units": "gamma-normalized",
     }
     if args.series_out:
@@ -450,7 +456,7 @@ def cmd_trap(args) -> int:
             for i in range(0, len(report.times), stride)
         ]
         text = render_csv(meta, ["time", "p_cav"], series_rows,
-                          precision=opts["precision"])
+                          precision=args.precision)
         with open(args.series_out, "w") as fh:
             fh.write(text)
     header = ["eta", "measure_time", "leak_rate", "norm_drift",
@@ -467,7 +473,7 @@ def cmd_trap(args) -> int:
         f"leak={format_float(report.leak_rate, 3)}, "
         f"norm drift {format_float(report.norm_drift, 3)}"
     )
-    _emit(args, meta, header, [row], opts, summary)
+    _emit(args, meta, header, [row], summary)
     return EXIT_QUALITY if report.norm_drift > 1e-8 else EXIT_OK
 
 
@@ -487,39 +493,20 @@ def cmd_presets(args) -> int:
     return EXIT_OK
 
 
-def _sweep_config(spec: SweepSpec, opts, want_orders: bool) -> dict:
-    params: dict = {
-        "detuning": spec.detuning,
-        "mod_amp_energy": spec.mod_amp_energy,
-        "mod_freq": spec.mod_freq,
-    }
-    if spec.omega_ratio != OMEGA_RATIO:
-        # Omega/gamma is set only in raw units; at V = v_g = 1 (gamma = 1)
-        # the normalized values above replay unchanged
-        params.update(raw_units=True, coupling=1.0, group_velocity=1.0,
-                      omega_a=spec.omega_ratio)
-    sweep = {
-        "preset": spec.name if spec.name in figure_presets() else None,
-        "axis": spec.axis,
-        "range": f"{spec.start}:{spec.stop}:{spec.points}",
-        "method": spec.method,
-        # spectrum takes no --orders: a preset's own orders replay with it
-        "orders": (",".join(str(n) for n in spec.sideband_orders)
-                   if want_orders else None),
-    }
-    return {"params": params, "sweep": sweep, "output": opts}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(_join_dash_values(argv))
+        args = parser.parse_args(_join_dash_values(parser, argv))
         if getattr(args, "config", None):
             # the file's keys go first, so flags on the command line win
-            flags = _config_flags(parser, args.sections, load_config(args.config))
+            flags = _config_flags(_commands(parser)[args.command],
+                                  load_config(args.config))
             args = parser.parse_args(
-                _join_dash_values([args.command, *flags, *argv[1:]]))
+                _join_dash_values(parser, [args.command, *flags, *argv[1:]]))
+        if not 0 <= getattr(args, "precision", 0) <= MAX_PRECISION:
+            raise OutOfRangeError(
+                f"precision {args.precision} outside [0, {MAX_PRECISION}]")
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)

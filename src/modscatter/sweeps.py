@@ -83,9 +83,6 @@ class SpectrumDataset:
     truncation_orders: np.ndarray   # sideband_max actually used per row
     flags: np.ndarray               # True where a row failed convergence
 
-    def column(self, name: str) -> np.ndarray:
-        return self.columns[name]
-
 
 def _transmitted(sset: SidebandSet, orders) -> dict[str, float]:
     """T_n = |t_n|^2 per requested order, zero outside the truncation window."""

@@ -127,7 +127,7 @@ class TestLowDriveTransmission:
         """KNOWN RED: the suppression threshold sits near f*Omega = 0.72
         gamma, not at 1 gamma."""
         f = fig3a_ds.axis_values
-        T = fig3a_ds.column("T")
+        T = fig3a_ds.columns["T"]
         low = f <= 1.0
         worst = float(np.max(T[low]))
         first_above = f[np.argmax(T > 0.05)]
@@ -140,7 +140,7 @@ class TestLowDriveTransmission:
 
     def test_strong_drive_opens_transmission(self, fig3a_ds):
         f = fig3a_ds.axis_values
-        T = fig3a_ds.column("T")
+        T = fig3a_ds.columns["T"]
         mid = (f >= 4.0) & (f <= 6.0)
         assert np.max(T[mid]) > 0.5
 
@@ -162,15 +162,15 @@ class TestLowDriveTransmission:
 class TestHighFrequencyReflection:
     def test_transmission_decreases_beyond_six_linewidths(self, fig4a_ds):
         w = fig4a_ds.axis_values
-        T = fig4a_ds.column("T")
+        T = fig4a_ds.columns["T"]
         sel = w > 6.0
         assert np.all(np.diff(T[sel]) < 0.0)
-        assert fig4a_ds.column("R")[-1] > 0.9
+        assert fig4a_ds.columns["R"][-1] > 0.9
 
     def test_sideband_crossover_location_is_frozen(self, fig4a_ds):
         w = fig4a_ds.axis_values
-        T0 = fig4a_ds.column("T_0")
-        T1 = fig4a_ds.column("T_1")
+        T0 = fig4a_ds.columns["T_0"]
+        T1 = fig4a_ds.columns["T_1"]
         gt = T1 > T0
         idx = len(gt) - 1
         while idx > 0 and gt[idx - 1]:
@@ -184,8 +184,8 @@ class TestHighFrequencyReflection:
         """KNOWN RED: the second sideband overtakes the first in a narrow
         low-frequency window around omega = 1.4 gamma."""
         w = fig4a_ds.axis_values
-        T1 = fig4a_ds.column("T_1")
-        T2 = fig4a_ds.column("T_2")
+        T1 = fig4a_ds.columns["T_1"]
+        T2 = fig4a_ds.columns["T_2"]
         viol = np.where(T2 >= T1)[0]
         assert len(viol) == 0, (
             f"T_2 < T_1 does not hold at {len(viol)} of {len(w)} grid "
@@ -214,8 +214,8 @@ class TestSidebandHierarchyVsAmplitude:
         """KNOWN RED: the carrier already overtakes the first sideband just
         under f*Omega = 2 gamma (three grid points)."""
         a = fig4b_ds.axis_values
-        T0 = fig4b_ds.column("T_0")
-        T1 = fig4b_ds.column("T_1")
+        T0 = fig4b_ds.columns["T_0"]
+        T1 = fig4b_ds.columns["T_1"]
         low = a < 2.0
         bad = np.where(low & (T1 <= T0))[0]
         assert len(bad) == 0, (
@@ -226,9 +226,9 @@ class TestSidebandHierarchyVsAmplitude:
 
     def test_carrier_dominates_at_strong_drive(self, fig4b_ds):
         a = fig4b_ds.axis_values
-        T0 = fig4b_ds.column("T_0")
-        T1 = fig4b_ds.column("T_1")
-        T2 = fig4b_ds.column("T_2")
+        T0 = fig4b_ds.columns["T_0"]
+        T1 = fig4b_ds.columns["T_1"]
+        T2 = fig4b_ds.columns["T_2"]
         high = a > 4.0
         assert np.all(T0[high] > T1[high])
         assert np.all(T0[high] > T2[high])

@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import modscatter
 from modscatter import cavity, cli
@@ -300,7 +305,7 @@ class TestRawUnitOnlyInputs:
         assert "--coupling" in capsys.readouterr().err
 
     def test_preset_applies_omega_a_and_replays_it(self, tmp_path, capsys):
-        # the dump writes Omega/gamma from the spec the run would use
+        # the dump writes the raw values as given; the replay rescales them
         assert main(self.PRESET_RAW + ["--dump-config"]) == 0
         text = capsys.readouterr().out
         assert "preset = fig3a" in text
@@ -309,6 +314,25 @@ class TestRawUnitOnlyInputs:
         cfg.write_text(text)
         assert main(["spectrum", "--config", str(cfg), "--dump-config"]) == 0
         assert capsys.readouterr().out == text
+
+
+@pytest.mark.parametrize("argv, ini", [
+    pytest.param(["spectrum", "--preset", "fig3a", "--axis", "detuning",
+                  "--range=-1:1:3"], None, id="flags"),
+    pytest.param(["spectrum", "--preset", "fig3a"],
+                 "[sweep]\naxis = detuning\nrange = -1:1:3\n", id="config"),
+])
+def test_preset_refuses_axis_and_range(argv, ini, tmp_path, capsys, no_engine):
+    """A preset brings its own axis and range; --axis/--range are refused
+    rather than silently ignored."""
+    if ini is not None:
+        (tmp_path / "run.ini").write_text(ini)
+        argv = argv + ["--config", str(tmp_path / "run.ini")]
+    assert main(argv) == 64
+    assert main(argv + ["--dump-config"]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("--axis and --range") == 2
 
 
 def test_preset_override_survives_dump_and_replay(tmp_path, capsys):
@@ -453,6 +477,25 @@ def test_config_keys_go_through_the_flag_parser(argv, ini, tmp_path, capsys,
     assert "error:" in captured.err
 
 
+@pytest.mark.parametrize("argv, ini, home", [
+    pytest.param(["spectrum"], "[output]\npreset = fig3a\n", "[sweep]",
+                 id="preset-in-output"),
+    pytest.param(SWEEP3, "[sweep]\nprecision = 6\n", "[output]",
+                 id="precision-in-sweep"),
+    pytest.param(["trap"], "[trap]\nout = x.csv\n", "[output]",
+                 id="out-in-trap"),
+])
+def test_key_outside_its_section_refused(argv, ini, home, tmp_path, capsys,
+                                         no_engine):
+    """Each key belongs to one section, the argument group of its flag."""
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(ini)
+    assert main(argv + ["--config", str(cfg)]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"belongs in {home}" in captured.err
+
+
 @pytest.mark.parametrize("ini, names", [
     pytest.param("mod_amp_energy = 2\n", "bad.ini", id="no-section-header"),
     pytest.param("[params]\nmod_freq = 2\nmod_freq = 3\n", "bad.ini",
@@ -529,6 +572,67 @@ def test_dump_replays_the_run(argv, tmp_path, capsys, monkeypatch):
     assert len(written) == (2 if "--series-out" in argv else 1)
 
 
+def _dump(argv) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(argv + ["--dump-config"]) == 0
+    return buf.getvalue()
+
+
+def _maybe(strategy):
+    return st.none() | strategy
+
+
+@st.composite
+def sweep_argvs(draw):
+    """A 3-point spectrum or sidebands run over any axis, with any mix of
+    fixed values, method, orders, raw units, precision and format."""
+    command = draw(st.sampled_from(["spectrum", "sidebands"]))
+    axis = draw(st.sampled_from(["detuning", "mod_amp_energy", "mod_freq"]))
+    low = -5.0 if axis == "detuning" else 0.5
+    start, stop = (draw(st.floats(low, 5.0)) for _ in range(2))
+    drawn = {
+        "detuning": draw(_maybe(st.floats(-5.0, 5.0))),
+        "mod-amp-energy": draw(_maybe(st.floats(0.0, 5.0))),
+        "mod-freq": draw(_maybe(st.floats(0.5, 5.0))),
+        "method": draw(_maybe(st.sampled_from(
+            ["series", "harmonic_balance", "both"]))),
+        "precision": draw(_maybe(st.integers(0, 16))),
+        "format": draw(_maybe(st.sampled_from(["csv", "json"]))),
+    }
+    if command == "sidebands":
+        drawn["orders"] = draw(_maybe(st.lists(
+            st.integers(-3, 3), min_size=1, max_size=3).map(
+                lambda ns: ",".join(map(str, ns)))))
+    if draw(st.booleans()):
+        drawn["coupling"] = draw(st.floats(0.5, 2.0))
+        drawn["group-velocity"] = draw(st.floats(0.5, 2.0))
+        drawn["omega-a"] = draw(_maybe(st.floats(50.0, 2000.0)))
+    argv = [command, "--axis", axis, f"--range={start!r}:{stop!r}:3"]
+    argv += [f"--{flag}={value!r}" if isinstance(value, float)
+             else f"--{flag}={value}"
+             for flag, value in drawn.items() if value is not None]
+    return argv + (["--raw-units"] if "coupling" in drawn else [])
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(argv=sweep_argvs())
+def test_dump_is_a_fixed_point_and_replays_the_run(argv):
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        out, cfg = Path(tmp, "data.out"), Path(tmp, "run.ini")
+        argv = argv + ["--out", str(out)]
+        text = _dump(argv)
+        cfg.write_text(text)
+        assert _dump([argv[0], "--config", str(cfg)]) == text
+        code = main(argv)
+        assert code in (0, 2)
+        first = out.read_bytes()
+        out.unlink()
+        assert main([argv[0], "--config", str(cfg)]) == code
+        assert out.read_bytes() == first
+
+
 MOD_FREQ_AXIS = ["spectrum", "--axis", "mod_freq", "--range", "0.5:2:3",
                  "--mod-amp-energy", "2"]
 
@@ -563,17 +667,8 @@ def test_dash_led_values_read_as_with_equals(argv, flag, value, capsys):
     ["--detuning", "-h"], ["--out", "--stamp"], ["-h", "-1"],
 ])
 def test_flags_without_a_value_glue_nothing(argv):
-    assert cli._join_dash_values(argv) == argv
-
-
-def test_bare_flags_are_the_parsers_valueless_flags():
-    parser = cli.build_parser()
-    commands = parser._subparsers._group_actions[0].choices.values()
-    actions = [a for p in (parser, *commands) for a in p._actions]
-    assert {opt for a in actions if a.nargs == 0
-            for opt in a.option_strings} == set(cli._BARE_FLAGS)
-    assert {a.dest for a in actions if a.const is True} == {
-        *cli._SWITCHES, "dump_config"}
+    """The parser's valueless flags, of every subcommand, take no value."""
+    assert cli._join_dash_values(cli.build_parser(), argv) == argv
 
 
 class TestSidebandsCommand:

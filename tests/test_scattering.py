@@ -294,15 +294,17 @@ def test_hypothesis_unitarity(amp, freq, delta):
     assert out.unitarity_defect < 1e-9
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(
-    amp=st.floats(min_value=0.0, max_value=8.0),
-    freq=st.floats(min_value=0.3, max_value=10.0),
+    amp=st.floats(min_value=0.0, max_value=10.0),
+    freq=st.floats(min_value=0.1, max_value=20.0),
     delta=st.floats(min_value=-10.0, max_value=10.0),
 )
 def test_hypothesis_optical_theorem(amp, freq, delta):
+    """sum_n |r_n|^2 = -Re r_0 holds to round-off, u = f*Omega/omega up to
+    100."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         out = evaluate_sidebands(normalized_params(amp, freq), delta)
     center = np.where(out.ns == 0)[0][0]
-    assert out.total_R == pytest.approx(-out.r[center].real, abs=1e-9)
+    assert abs(out.total_R + out.r[center].real) <= 1e-12

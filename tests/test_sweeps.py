@@ -89,7 +89,8 @@ class TestRunSweep:
         )
         ds = run_sweep(spec)
         expected = lorentzian_T(ds.axis_values - 5.0)
-        np.testing.assert_allclose(ds.column("T"), expected, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(ds.columns["T"], expected,
+                                   rtol=0, atol=1e-12)
         assert not np.any(ds.flags)
 
     def test_unmodulated_detuning_sweep(self):
@@ -99,7 +100,7 @@ class TestRunSweep:
         )
         ds = run_sweep(spec)
         np.testing.assert_allclose(
-            ds.column("T"), lorentzian_T(ds.axis_values), rtol=0, atol=1e-12
+            ds.columns["T"], lorentzian_T(ds.axis_values), rtol=0, atol=1e-12
         )
 
     def test_rows_align_with_pointwise_evaluation(self):
@@ -111,7 +112,7 @@ class TestRunSweep:
         for i, v in enumerate(ds.axis_values):
             p, delta = spec.params_at(v)
             sset = evaluate_sidebands(p, delta)
-            assert ds.column("T")[i] == pytest.approx(sset.total_T, abs=1e-14)
+            assert ds.columns["T"][i] == pytest.approx(sset.total_T, abs=1e-14)
 
     def test_dual_method_discrepancy_is_tiny(self):
         spec = SweepSpec(
@@ -119,7 +120,7 @@ class TestRunSweep:
             mod_amp_energy=5.0, mod_freq=2.0, method="both",
         )
         ds = run_sweep(spec)
-        assert np.max(ds.column("discrepancy")) < 1e-8
+        assert np.max(ds.columns["discrepancy"]) < 1e-8
 
     def test_sideband_columns_and_residual(self):
         spec = SweepSpec(
@@ -129,7 +130,7 @@ class TestRunSweep:
         ds = run_sweep(spec)
         for name in ("T_0", "T_1", "T_2"):
             assert name in ds.columns
-        assert np.all(ds.column("T_0") <= ds.column("T") + 1e-12)
+        assert np.all(ds.columns["T_0"] <= ds.columns["T"] + 1e-12)
 
     def test_truncation_orders_recorded(self):
         spec = SweepSpec(
@@ -153,23 +154,24 @@ class TestSidebandResolved:
     def test_unmodulated_concentrates_on_the_carrier(self):
         ds = self.detuning_sweep(0.0, 2.0, (0, 1, 2))
         np.testing.assert_allclose(
-            ds.column("T_0"), lorentzian_T(ds.axis_values), rtol=0, atol=1e-12
+            ds.columns["T_0"], lorentzian_T(ds.axis_values), rtol=0, atol=1e-12
         )
-        np.testing.assert_allclose(ds.column("T_1"), 0.0, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(ds.columns["T_1"], 0.0, rtol=0, atol=1e-14)
         np.testing.assert_allclose(
-            ds.column("T_0"), ds.column("T"), rtol=0, atol=1e-12
+            ds.columns["T_0"], ds.columns["T"], rtol=0, atol=1e-12
         )
 
     def test_orders_sum_to_total(self):
         window = tuple(range(-60, 61))
         ds = self.detuning_sweep(5.0, 2.0, window)
         assert np.all(ds.truncation_orders <= 60)  # the orders span the window
-        partial = sum(ds.column(f"T_{n}") for n in window)
-        np.testing.assert_allclose(partial, ds.column("T"), rtol=0, atol=1e-12)
+        partial = sum(ds.columns[f"T_{n}"] for n in window)
+        np.testing.assert_allclose(partial, ds.columns["T"],
+                                   rtol=0, atol=1e-12)
 
     def test_out_of_window_order_reports_zero(self):
         ds = self.detuning_sweep(0.0, 2.0, (250,))
-        assert np.all(ds.column("T_250") == 0.0)
+        assert np.all(ds.columns["T_250"] == 0.0)
 
 
 # u = f*Omega/omega = 2.5 takes the Bessel power series, u = 12 Miller
