@@ -27,6 +27,11 @@ and no numerical dispersion:
 The delay line holds every emitter input of the next D steps, D the emitter
 separation in cells (Pichler & Zoller, PRL 116, 093601 (2016)), so the run
 advances a block of up to D steps at a time, bitwise as if step by step.
+Within a block only each emitter's recurrence is a Python loop on scalars;
+the maps into and out of it, the site frequency offsets and the tallies are
+numpy over the block, built only from operations that round as Python's
+scalar ones do (see _advance). A modulation schedule is sampled only at the
+step midpoints inside its switching window.
 
 Every substep is unitary, which is why the norm holds to ~1e-14 per step
 rather than drifting at some integrator order.
@@ -333,14 +338,51 @@ def init_grid(protocol: TrapProtocol) -> GridState:
     )
 
 
+def _abs2(z: np.ndarray) -> np.ndarray:
+    """|z|**2 per element, bitwise as Python's abs(z) ** 2: numpy's hypot
+    gives abs and libm's pow the square (numpy's x**2 is x*x, which rounds
+    differently on some inputs)."""
+    return np.array(list(map(math.pow, np.hypot(z.real, z.imag).tolist(),
+                             itertools.repeat(2.0))))
+
+
+def _running(start: float, steps: np.ndarray) -> np.ndarray:
+    """start, start + steps[0], ...: a running tally added left to right,
+    as a Python loop adds it (a sum from 0 would round differently)."""
+    return np.add.accumulate(np.concatenate(([start], steps)))
+
+
+def _site_offsets(site: EmitterSite, sched: ModulationSchedule | None,
+                  mids: np.ndarray) -> list[float]:
+    """The site's frequency offset at each step midpoint, bitwise as
+    TrapProtocol.site_frequency_offsets gives it; the schedule is sampled
+    only at the midpoints inside its window. Outside it the offset is
+    detuning + 0.0, which turns a -0.0 detuning into +0.0."""
+    if sched is None:
+        return [site.detuning] * len(mids)
+    ws = [site.detuning + 0.0] * len(mids)
+    off = math.inf if sched.switch_off is None else sched.switch_off
+    inside = np.flatnonzero((sched.switch_on <= mids) & (mids < off))
+    for k, t in zip(inside.tolist(), mids[inside].tolist()):
+        ws[k] = site.detuning + sched.value(t)
+    return ws
+
+
 def _advance(state: GridState, protocol: TrapProtocol, n: int):
     """Advance n steps of dt = dx in place, 1 <= n <= D (state._max_block),
     and return the time, p_cav and transmitted tally after each step.
 
     Within D steps no site needs an output that a site after it makes, so
-    the sites run in order, each over its n inputs on Python scalars (the
-    exact bright-mode/emitter exponential, modulation sampled at each step's
-    midpoint); the edge tallies and cavity-edge fluxes are then replayed.
+    the sites run in order, each over its n inputs. Only the emitter
+    recurrence (e, p2), which needs the step before, is a Python loop on
+    scalars: the exact bright-mode/emitter exponential, its coefficients
+    recomputed when the frequency offset (sampled at each step's midpoint)
+    changes. The maps into and out of the bright/dark pair and the edge
+    tallies and cavity-edge fluxes run per block in numpy, on operations
+    that round as Python's do: complex +/- complex, complex * float, hypot
+    for abs, libm's pow for the square and running sums seeded with the
+    current tally. Every complex * complex product stays in the loop, since
+    numpy may fuse its multiply-adds. So a block is bitwise n single steps.
     """
     if not 1 <= n <= state._max_block:
         raise OutOfRangeError(
@@ -357,51 +399,48 @@ def _advance(state: GridState, protocol: TrapProtocol, n: int):
     # step j = 1..n sees lab cell m at R[r0 - j + m] and L[l0 + j + m]
     R[r0 - n : r0] = 0.0
     L[l0 + N : l0 + N + n] = 0.0
-    entering_lo = R[r0 + lo - n : r0 + lo].tolist()[::-1]
-    entering_hi = L[l0 + hi + 1 : l0 + hi + 1 + n].tolist()
-    times = list(itertools.accumulate([tau] * n, initial=state.time))
-    offsets = [protocol.site_frequency_offsets(t + 0.5 * tau)
-               for t in times[:-1]]
+    # what enters the cavity, taken before the mirrors overwrite it
+    entering = (_abs2(R[r0 + lo - n : r0 + lo][::-1])
+                + _abs2(L[l0 + hi + 1 : l0 + hi + 1 + n]))
+    times = _running(state.time, np.full(n, tau))
+    mids = times[:-1] + 0.5 * tau
+    scheds = (protocol.left_schedule, protocol.right_schedule)
     # Python's complex / float divides, numpy's multiplies by the reciprocal
     c, s = 1.0 / SQ2, 1.0 / (SQ2 * sqdx)
     for i, m, lam in state._coupled:
         jr, jl = r0 + m, l0 + m
-        outs_R, outs_L, e, w_last = [], [], complex(e_site[i]), None
-        for a_r, a_l, ws in zip(R[jr - n : jr].tolist()[::-1],
-                                L[jl + 1 : jl + 1 + n].tolist(), offsets):
-            w = ws[i]
+        a_r = R[jr - n : jr][::-1] * sqdx
+        a_l = L[jl + 1 : jl + 1 + n] * sqdx
+        d = (a_r - a_l) * c
+        p2s, e, w_last = [], complex(e_site[i]), None
+        for p, w in zip(((a_r + a_l) * c).tolist(),
+                        _site_offsets(protocol.sites()[i], scheds[i], mids)):
             if w != w_last:
                 w_last, hw = w, 0.5 * w
                 rho = math.hypot(hw, lam)  # >= |lam| > 0
                 ph = complex(math.cos(hw * tau), -math.sin(hw * tau))
                 co = math.cos(rho * tau)
-                sn = math.sin(rho * tau) / rho
-            a_r, a_l = a_r * sqdx, a_l * sqdx
-            p, d = (a_r + a_l) * c, (a_r - a_l) * c
-            e, p2 = (ph * (co * e - 1j * sn * (hw * e + lam * p)),
-                     ph * (co * p - 1j * sn * (lam * e - hw * p)))
-            outs_R.append((p2 + d) * s)
-            outs_L.append((p2 - d) * s)
+                isn = 1j * (math.sin(rho * tau) / rho)
+            e, p2 = (ph * (co * e - isn * (hw * e + lam * p)),
+                     ph * (co * p - isn * (lam * e - hw * p)))
+            p2s.append(p2)
         e_site[i] = e
-        R[jr - n : jr] = outs_R[::-1]
-        L[jl + 1 : jl + 1 + n] = outs_L
-    # per step: R and L leaving the domain, leaving the cavity, entering it
-    edges = zip(R[r0 + N - n : r0 + N].tolist()[::-1], L[l0 : l0 + n].tolist(),
-                R[r0 + hi + 1 - n : r0 + hi + 1].tolist()[::-1],
-                L[l0 + lo : l0 + lo + n].tolist(), entering_lo, entering_hi)
-    trans, refl, cav = state.transmitted_out, state.reflected_out, state.p_cav
-    p_cavs, transmitted = [], []
-    for gone_R, gone_L, out_hi, out_lo, in_lo, in_hi in edges:
-        trans += abs(gone_R) ** 2 * tau
-        refl += abs(gone_L) ** 2 * tau
-        flux = -(abs(out_hi) ** 2) - abs(out_lo) ** 2
-        flux += abs(in_lo) ** 2 + abs(in_hi) ** 2
-        cav += flux * tau
-        p_cavs.append(cav)
-        transmitted.append(trans)
-    state.transmitted_out, state.reflected_out, state.p_cav = trans, refl, cav
-    state._r0, state._l0, state.time = r0 - n, l0 + n, times[-1]
-    return times[1:], p_cavs, transmitted
+        p2 = np.array(p2s)
+        R[jr - n : jr] = ((p2 + d) * s)[::-1]
+        L[jl + 1 : jl + 1 + n] = (p2 - d) * s
+    # per step: R and L leaving the domain, and leaving the cavity
+    gone_R = _abs2(R[r0 + N - n : r0 + N][::-1])
+    gone_L = _abs2(L[l0 : l0 + n])
+    flux = (-_abs2(R[r0 + hi + 1 - n : r0 + hi + 1][::-1])
+            - _abs2(L[l0 + lo : l0 + lo + n])) + entering
+    transmitted = _running(state.transmitted_out, gone_R * tau)
+    p_cavs = _running(state.p_cav, flux * tau)
+    state.transmitted_out = float(transmitted[-1])
+    state.reflected_out = float(_running(state.reflected_out,
+                                         gone_L * tau)[-1])
+    state.p_cav = float(p_cavs[-1])
+    state._r0, state._l0, state.time = r0 - n, l0 + n, float(times[-1])
+    return times[1:], p_cavs[1:], transmitted[1:]
 
 
 def step(state: GridState, protocol: TrapProtocol) -> GridState:

@@ -192,12 +192,20 @@ def _config_sections(command: argparse.ArgumentParser) -> dict:
             if group not in (command._positionals, command._optionals)}
 
 
-def _config_flags(command: argparse.ArgumentParser,
+def _config_flags(parser: argparse.ArgumentParser, name: str,
                   cfg: dict[str, dict[str, str]]) -> list[str]:
-    """The keys of the sections a subcommand reads, as its flags:
+    """The keys of the sections subcommand `name` reads, as its flags:
     'key = value' becomes '--key=value', a switch set true the bare flag.
-    An option of the subcommand given in a section not its own exits 64;
-    an unknown key goes on as a flag, for argparse to refuse."""
+    A section no subcommand reads, or an option of this one given in a
+    section not its own, exits 64; a section of another subcommand is
+    skipped, and an unknown key goes on as a flag, for argparse to refuse."""
+    command = _commands(parser)[name]
+    known = {section for p in _commands(parser).values()
+             for section in _config_sections(p)}
+    for section in cfg:
+        if section not in known:
+            command.error(f"[{section}] is not a config section; known: "
+                          + ", ".join(f"[{k}]" for k in sorted(known)))
     sections = _config_sections(command)
     flags = []
     for section, actions in sections.items():
@@ -292,7 +300,7 @@ def _sweep_spec_from(args) -> SweepSpec:
         # explicit fixed values, orders and the raw-units carrier override
         # even a preset
         overrides = {attr: value / gamma for attr, value in fixed.items()
-                     if value is not None and attr != spec.axis}
+                     if value is not None}
         if omega_ratio != spec.omega_ratio:
             overrides["omega_ratio"] = omega_ratio
         if text is not None:
@@ -312,6 +320,9 @@ def _sweep_spec_from(args) -> SweepSpec:
             name="custom",
             omega_ratio=omega_ratio,
         )
+    if fixed[spec.axis] is not None:
+        raise ValueError(f"--{spec.axis.replace('_', '-')} ([params] "
+                         f"{spec.axis}) fixes the swept axis: drop it")
     if args.method is not None:
         overrides["method"] = args.method
     if overrides:
@@ -500,7 +511,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(_join_dash_values(parser, argv))
         if getattr(args, "config", None):
             # the file's keys go first, so flags on the command line win
-            flags = _config_flags(_commands(parser)[args.command],
+            flags = _config_flags(parser, args.command,
                                   load_config(args.config))
             args = parser.parse_args(
                 _join_dash_values(parser, [args.command, *flags, *argv[1:]]))

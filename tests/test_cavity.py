@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -380,6 +381,45 @@ def block_protocol():
     )
 
 
+def block_variant(name):
+    """block_protocol with another schedule layout. In blocks of D from
+    t = 0 (60 time units each), "right-only" has whole blocks before its
+    switch-on and after its switch-off, and both switch times fall exactly
+    on a step midpoint; "minus-zero" has detuning -0.0 on a modulated and
+    on a static site; "transparent-right" has the zero-coupling second site
+    of run_packet_scattering."""
+    base = block_protocol()
+    left, right = base.left_site, base.right_site
+    return {
+        "both-modulated": base,
+        "right-only": dataclasses.replace(
+            base, left_schedule=None,
+            right_schedule=ModulationSchedule(amp_energy=3.0, freq=1.5,
+                                              switch_on=100.125,
+                                              switch_off=170.625)),
+        "minus-zero": dataclasses.replace(
+            base, left_site=dataclasses.replace(left, detuning=-0.0),
+            right_site=dataclasses.replace(right, detuning=-0.0),
+            right_schedule=None),
+        "transparent-right": dataclasses.replace(
+            base, right_site=EmitterSite(position=right.position,
+                                         coupling=0.0),
+            right_schedule=None),
+    }[name]
+
+
+BLOCK_VARIANTS = ("both-modulated", "right-only", "minus-zero",
+                  "transparent-right")
+
+
+def in_blocks(protocol, state, n_steps, D=240):
+    """Advance in blocks of D and return the per-step series."""
+    series = []
+    for k in range(0, n_steps, D):
+        series += zip(*cavity._advance(state, protocol, min(D, n_steps - k)))
+    return series
+
+
 def loaded_grid(protocol):
     """The initial packet plus content in the left mover and the emitters."""
     state = init_grid(protocol)
@@ -421,6 +461,8 @@ def lab_frame_reference(protocol, state, n_steps):
         p_cav += flux * dx
         offsets = protocol.site_frequency_offsets(t + 0.5 * dx)
         for i, (m, site) in enumerate(zip((lo, hi), protocol.sites())):
+            if site.coupling == 0.0:  # transparent, its emitter idle
+                continue
             w, lam = offsets[i], sq2 * site.coupling / sqdx
             a_r, a_l = R[m] * sqdx, L[m] * sqdx
             p, d = (a_r + a_l) / sq2, (a_r - a_l) / sq2
@@ -461,10 +503,7 @@ class TestBlockAdvance:
         n_steps = 3 * proto.n_cells + 17  # three buffer wraps
         ref, ref_series = stepped(proto, n_steps)
         state = loaded_grid(proto)
-        series = []
-        for k in range(0, n_steps, D):
-            series += zip(*cavity._advance(state, proto, min(D, n_steps - k)))
-        assert series == ref_series
+        assert in_blocks(proto, state, n_steps, D) == ref_series
         assert_same_state(state, ref)
         # the test exercised what it claims: both movers and both mirrors
         # were loaded, and the modulations switched mid-block
@@ -501,6 +540,74 @@ class TestBlockAdvance:
             series += zip(*cavity._advance(state, proto, n))
         assert series == ref_series
         assert_same_state(state, ref)
+
+    # both-modulated is block_protocol, which the two tests above check
+    @pytest.mark.parametrize("name", BLOCK_VARIANTS[1:])
+    def test_schedule_layouts_equal_single_steps_and_the_lab_frame(
+            self, name):
+        proto = block_variant(name)
+        n_steps = 3 * proto.n_cells + 17  # three buffer wraps
+        ref, ref_series = stepped(proto, n_steps)
+        state = loaded_grid(proto)
+        assert in_blocks(proto, state, n_steps) == ref_series
+        assert_same_state(state, ref)
+        R, L, e, refl, lab_series = lab_frame_reference(
+            proto, loaded_grid(proto), n_steps)
+        assert ref_series == lab_series
+        np.testing.assert_array_equal(state.phi_R, R)
+        np.testing.assert_array_equal(state.phi_L, L)
+        np.testing.assert_array_equal(state.e_site, e)
+        assert state.reflected_out == refl
+
+    def test_right_only_layout_has_whole_blocks_outside_the_window(self):
+        proto = block_variant("right-only")
+        sched, dx = proto.right_schedule, proto.domain_length / proto.n_cells
+        starts = np.arange(0, 3 * proto.n_cells + 17, 240) * dx
+        assert np.any(starts + 240 * dx <= sched.switch_on)
+        assert np.any(starts >= sched.switch_off)
+
+    @pytest.mark.parametrize("name", BLOCK_VARIANTS)
+    def test_site_offsets_match_the_protocol_with_signed_zeros(self, name):
+        proto = block_variant(name)
+        scheds = (proto.left_schedule, proto.right_schedule)
+        t = np.arange(1817) * 0.25
+        mids = t + 0.125
+        for i, site in enumerate(proto.sites()):
+            ws = cavity._site_offsets(site, scheds[i], mids)
+            ref = [proto.site_frequency_offsets(m)[i] for m in mids.tolist()]
+            assert ws == ref
+            assert [math.copysign(1.0, w) for w in ws] == [
+                math.copysign(1.0, w) for w in ref]
+        if name == "minus-zero":
+            # a static site keeps -0.0; a modulated one outside its window
+            # reads -0.0 + 0.0 = +0.0
+            left, right = (cavity._site_offsets(site, sched, mids)
+                           for site, sched in zip(proto.sites(), scheds))
+            assert math.copysign(1.0, right[0]) == -1.0
+            assert math.copysign(1.0, left[-1]) == 1.0
+
+    @pytest.mark.parametrize("name", BLOCK_VARIANTS)
+    def test_schedules_are_sampled_only_inside_their_windows(
+            self, monkeypatch, name):
+        proto = block_variant(name)
+        sampled = []
+        real_value = ModulationSchedule.value
+
+        def counting_value(sched, t):
+            sampled.append((sched, t))
+            return real_value(sched, t)
+
+        monkeypatch.setattr(ModulationSchedule, "value", counting_value)
+        n_steps = 3 * proto.n_cells + 17
+        in_blocks(proto, loaded_grid(proto), n_steps)
+        times = itertools.accumulate([0.25] * n_steps, initial=0.0)
+        mids = [t + 0.125 for t in list(times)[:-1]]
+        for sched in (proto.left_schedule, proto.right_schedule):
+            if sched is None:
+                continue
+            inside = [t for t in mids if sched.envelope(t)]
+            assert [t for s, t in sampled if s is sched] == inside
+            assert 0 < len(inside) < n_steps
 
     @pytest.mark.parametrize("n", [0, -1, 241])
     def test_block_outside_one_to_D_refused(self, n):

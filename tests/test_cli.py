@@ -496,6 +496,60 @@ def test_key_outside_its_section_refused(argv, ini, home, tmp_path, capsys,
     assert f"belongs in {home}" in captured.err
 
 
+@pytest.mark.parametrize("argv", [SWEEP3, ["oracle"], ["trap"]],
+                         ids=["spectrum", "oracle", "trap"])
+def test_unknown_section_refused(argv, tmp_path, capsys, no_engine):
+    """A section no subcommand reads is a typo ([parms] for [params]), not
+    a section to skip."""
+    cfg = tmp_path / "typo.ini"
+    cfg.write_text("[parms]\nmod_amp_energy = 5\n")
+    assert main(argv + ["--config", str(cfg)]) == 64
+    assert main(argv + ["--config", str(cfg), "--dump-config"]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("[parms] is not a config section") == 2
+
+
+def test_other_subcommands_sections_are_skipped(tmp_path, capsys):
+    """One file serves several subcommands: each reads its own sections."""
+    cfg = tmp_path / "shared.ini"
+    cfg.write_text("[params]\nmod_amp_energy = 5\n"
+                   "[sweep]\naxis = detuning\nrange = -1:1:3\n"
+                   "[trap]\ncells = 1500\n[oracle]\ncases = 5:2\n")
+    assert main(["spectrum", "--config", str(cfg), "--dump-config"]) == 0
+    assert main(["trap", "--config", str(cfg), "--dump-config"]) == 0
+    spectrum, trap = capsys.readouterr().out.split("[trap]")
+    assert "mod_amp_energy = 5.0" in spectrum and "[oracle]" not in spectrum
+    assert "cells = 1500" in trap and "[params]" not in trap
+
+
+@pytest.mark.parametrize("argv, ini, flag", [
+    pytest.param(SWEEP3 + ["--detuning", "5"], None, "--detuning",
+                 id="flag"),
+    pytest.param(SWEEP3 + ["--detuning", "0"], None, "--detuning",
+                 id="flag-at-the-default"),
+    pytest.param(SWEEP3, "[params]\ndetuning = 5\n", "--detuning",
+                 id="config-key"),
+    pytest.param(["spectrum", "--preset", "fig3a", "--mod-amp-energy", "5"],
+                 None, "--mod-amp-energy", id="preset"),
+    pytest.param(["sidebands", "--preset", "fig4a"], "[params]\nmod_freq = 2\n",
+                 "--mod-freq", id="preset-config-key"),
+])
+def test_fixed_value_on_the_swept_axis_refused(argv, ini, flag, tmp_path,
+                                               capsys, no_engine):
+    """A value given for the swept axis would be ignored but echoed in the
+    metadata; given by flag or by key, it is refused."""
+    if ini is not None:
+        (tmp_path / "run.ini").write_text(ini)
+        argv = argv + ["--config", str(tmp_path / "run.ini")]
+    assert main(argv) == 64
+    assert main(argv + ["--dump-config"]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count(f"{flag} ([params] ") == 2
+    assert "fixes the swept axis" in captured.err
+
+
 @pytest.mark.parametrize("ini, names", [
     pytest.param("mod_amp_energy = 2\n", "bad.ini", id="no-section-header"),
     pytest.param("[params]\nmod_freq = 2\nmod_freq = 3\n", "bad.ini",
@@ -586,7 +640,8 @@ def _maybe(strategy):
 @st.composite
 def sweep_argvs(draw):
     """A 3-point spectrum or sidebands run over any axis, with any mix of
-    fixed values, method, orders, raw units, precision and format."""
+    fixed values, method, orders, raw units, precision and format; now and
+    then the swept axis is given a fixed value too, which must be refused."""
     command = draw(st.sampled_from(["spectrum", "sidebands"]))
     axis = draw(st.sampled_from(["detuning", "mod_amp_energy", "mod_freq"]))
     low = -5.0 if axis == "detuning" else 0.5
@@ -604,6 +659,8 @@ def sweep_argvs(draw):
         drawn["orders"] = draw(_maybe(st.lists(
             st.integers(-3, 3), min_size=1, max_size=3).map(
                 lambda ns: ",".join(map(str, ns)))))
+    if draw(st.integers(0, 3)) != 3:  # rarely, the swept axis is fixed too
+        drawn[axis.replace("_", "-")] = None
     if draw(st.booleans()):
         drawn["coupling"] = draw(st.floats(0.5, 2.0))
         drawn["group-velocity"] = draw(st.floats(0.5, 2.0))
@@ -615,13 +672,20 @@ def sweep_argvs(draw):
     return argv + (["--raw-units"] if "coupling" in drawn else [])
 
 
-@settings(max_examples=25, deadline=None, derandomize=True)
+@settings(max_examples=30, deadline=None, derandomize=True)
 @given(argv=sweep_argvs())
 def test_dump_is_a_fixed_point_and_replays_the_run(argv):
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("ignore")
         out, cfg = Path(tmp, "data.out"), Path(tmp, "run.ini")
         argv = argv + ["--out", str(out)]
+        swept = argv[argv.index("--axis") + 1].replace("_", "-")
+        if any(arg.startswith(f"--{swept}=") for arg in argv):
+            with contextlib.redirect_stderr(io.StringIO()):
+                assert main(argv + ["--dump-config"]) == 64
+                assert main(argv) == 64
+            assert not out.exists()
+            return
         text = _dump(argv)
         cfg.write_text(text)
         assert _dump([argv[0], "--config", str(cfg)]) == text
