@@ -3,8 +3,10 @@
 The waveguide is a uniform grid of right- and left-moving envelope amplitudes
 in the frame of the carrier, which is resonant with the static emitters.
 Units are gamma-normalized with group velocity v_g = 1, so lengths and times
-share one unit. One time step is a split-step update with no stability limit
-and no numerical dispersion:
+share one unit. One time step is a split-step update with no stability
+limit. Its advection has no numerical dispersion; the step as a whole is
+first order in dx (eta of the default trap moves by about 3e-4, 1.5e-4 and
+7e-5 per doubling from 10k to 80k cells):
 
 * advection: with dt = dx each mover shifts exactly one cell, so the
   field between the emitters is a pure delay line. The shift is a moving
