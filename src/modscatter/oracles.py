@@ -25,7 +25,13 @@ import numpy as np
 
 from .errors import OutOfRangeError, SingularSystemError
 from .params import EmitterParams
-from .scattering import SidebandSet, _assemble, evaluate_sidebands
+from .scattering import (
+    SidebandBlock,
+    SidebandSet,
+    _assemble,
+    _assemble_block,
+    evaluate_sidebands,
+)
 
 RESIDUAL_TOL = 1e-12
 PERIODICITY_TOL = 1e-9
@@ -48,7 +54,8 @@ class ExcitationSpectrum:
 
 @dataclass(frozen=True)
 class HarmonicBalanceSystem:
-    """Tridiagonal system for the excitation harmonics e_n, n in [-N, N]."""
+    """Tridiagonal system for the excitation harmonics e_n, n in [-N, N];
+    for an array of detunings, one system per row of `diagonal`."""
 
     order: int
     diagonal: np.ndarray      # Delta + n*omega + i*gamma
@@ -57,13 +64,13 @@ class HarmonicBalanceSystem:
 
     def matvec(self, e: np.ndarray) -> np.ndarray:
         y = self.diagonal * e
-        y[1:] += self.off_diagonal * e[:-1]
-        y[:-1] += self.off_diagonal * e[1:]
+        y[..., 1:] += self.off_diagonal * e[..., :-1]
+        y[..., :-1] += self.off_diagonal * e[..., 1:]
         return y
 
 
 def build_harmonic_balance(
-    params: EmitterParams, detuning: float, order: int
+    params: EmitterParams, detuning, order: int
 ) -> HarmonicBalanceSystem:
     """Assemble the Fourier-space system.
 
@@ -75,11 +82,13 @@ def build_harmonic_balance(
 
     The drive sign is pinned by the f -> 0 limit: e_0 = V/(Delta + i*gamma)
     must reproduce r_0 = -i*gamma/(Delta + i*gamma) through r_n = V e_n/(i v_g).
+    An array of detunings gives one diagonal per detuning, as rows.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     ns = np.arange(-order, order + 1)
-    diag = detuning + ns * params.mod_freq + 1j * params.gamma
+    diag = np.asarray(detuning, float)[..., None] + ns * params.mod_freq
+    diag = diag + 1j * params.gamma
     rhs = np.zeros(2 * order + 1, complex)
     rhs[order] = params.coupling
     return HarmonicBalanceSystem(
@@ -124,23 +133,62 @@ def _solve_tridiagonal(dl, d, du, b) -> list[complex]:
     return x[::-1]
 
 
+def _hb_excitations(
+    params: EmitterParams, detunings: np.ndarray, order: int
+) -> np.ndarray:
+    """The excitation harmonics e_n of each detuning, as rows.
+
+    Each row is solved alone by _solve_tridiagonal; the residual check runs
+    on the block. Raises SingularSystemError for the first failing row, in
+    row order, with that row as its `row`.
+    """
+    if params.gamma == 0:
+        raise SingularSystemError("zero coupling makes the system singular")
+    sys_ = build_harmonic_balance(params, detunings, order)
+    off = [complex(sys_.off_diagonal)] * (2 * order)
+    rhs = sys_.rhs.tolist()
+    e = np.full(sys_.diagonal.shape, np.nan, complex)
+    solved, failure = 0, None
+    for diag in sys_.diagonal.tolist():
+        try:
+            e[solved] = _solve_tridiagonal(off, diag, off, rhs)
+        except SingularSystemError as err:
+            failure = err
+            break
+        solved += 1
+    resid = (np.max(np.abs(sys_.matvec(e) - sys_.rhs), axis=1)
+             / np.max(np.abs(sys_.rhs)))
+    bad = np.flatnonzero(~(resid[:solved] < RESIDUAL_TOL))
+    if len(bad):
+        failure = SingularSystemError(
+            f"tridiagonal solve residual {resid[bad[0]]:.3e} exceeds "
+            f"{RESIDUAL_TOL:g}",
+            row=int(bad[0]),
+        )
+    elif failure is not None:
+        failure.row = solved
+    if failure is not None:
+        raise failure
+    return e
+
+
 def harmonic_balance_solve(
     params: EmitterParams, detuning: float, order: int
 ) -> ExcitationSpectrum:
     """Solve the tridiagonal system with partial pivoting and verify the
     residual."""
-    if params.gamma == 0:
-        raise SingularSystemError("zero coupling makes the system singular")
-    sys_ = build_harmonic_balance(params, detuning, order)
-    off = [complex(sys_.off_diagonal)] * (2 * order)
-    e = np.array(_solve_tridiagonal(off, sys_.diagonal.tolist(), off,
-                                    sys_.rhs.tolist()))
-    resid = np.max(np.abs(sys_.matvec(e) - sys_.rhs)) / np.max(np.abs(sys_.rhs))
-    if not resid < RESIDUAL_TOL:
-        raise SingularSystemError(
-            f"tridiagonal solve residual {resid:.3e} exceeds {RESIDUAL_TOL:g}"
-        )
+    e = _hb_excitations(params, np.array([detuning], float), order)[0]
     return ExcitationSpectrum(ns=np.arange(-order, order + 1), coeffs=e)
+
+
+def _harmonic_balance_block(
+    params: EmitterParams, detunings: np.ndarray, order: int
+) -> SidebandBlock:
+    """The harmonic-balance amplitudes r_n = V e_n/(i v_g) and totals of
+    each detuning at one order, as a block (see _hb_excitations)."""
+    e = _hb_excitations(params, detunings, order)
+    r = params.coupling * e / (1j * params.group_velocity)
+    return _assemble_block(params, detunings, r)
 
 
 @dataclass(frozen=True)

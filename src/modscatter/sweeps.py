@@ -13,14 +13,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import MAX_POINTS
-from .errors import OutOfRangeError, TruncationError
+from .errors import OutOfRangeError, SingularSystemError
 from .params import OMEGA_RATIO, EmitterParams, normalized_params
-from .oracles import amplitudes_from_excitation, harmonic_balance_solve
-from .scattering import SidebandSet, evaluate_sidebands
+from .oracles import _harmonic_balance_block
+from .scattering import (
+    TRUNCATION_TOL,
+    _series_block,
+    _truncation_orders,
+    _warn_nonpositive,
+    evaluate_sidebands,
+)
+# Not called here; kept in this namespace because perfbench/tracing.py wraps
+# these names.
+from .oracles import amplitudes_from_excitation, harmonic_balance_solve  # noqa: F401
 
 AXES = ("detuning", "mod_amp_energy", "mod_freq")
 METHODS = ("series", "harmonic_balance", "both")
 UNITARITY_FLAG_TOL = 1e-9
+# rows of a detuning axis evaluated together; bounds the (rows, 2N+1)
+# arrays of a block
+BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -84,82 +96,123 @@ class SpectrumDataset:
     flags: np.ndarray               # True where a row failed convergence
 
 
-def _transmitted(sset: SidebandSet, orders) -> dict[str, float]:
-    """T_n = |t_n|^2 per requested order, zero outside the truncation window."""
-    out: dict[str, float] = {}
+def _store(out: dict, rows, sset, orders) -> None:
+    """Write the totals and each T_n = |t_n|^2 of a SidebandSet or a
+    SidebandBlock into `rows` of the columns; T_n is zero outside the
+    window."""
+    out["T"][rows] = sset.total_T
+    out["R"][rows] = sset.total_R
+    out["unitarity_defect"][rows] = sset.unitarity_defect
+    t = sset.t.reshape(-1, len(sset.ns))
     for n in orders:
         i = int(n) - int(sset.ns[0])
-        out[f"T_{n}"] = float(abs(sset.t[i]) ** 2) if 0 <= i < len(sset.ns) else 0.0
-    return out
-
-
-def _observables_for_row(
-    sset: SidebandSet, spec: SweepSpec, hb_total: float | None
-) -> dict[str, float]:
-    row = {
-        "T": sset.total_T,
-        "R": sset.total_R,
-        "unitarity_defect": sset.unitarity_defect,
-    }
-    row.update(_transmitted(sset, spec.sideband_orders))
-    if hb_total is not None:
-        row["discrepancy"] = abs(sset.total_T - hb_total)
-    return row
-
-
-def _eval_point(
-    spec: SweepSpec, value: float, tables: dict
-) -> tuple[dict[str, float], int, bool]:
-    params, delta = spec.params_at(value)
-    flagged = False
-    try:
-        sset = evaluate_sidebands(params, delta, tables=tables)
-    except TruncationError:
-        # keep sweeping; the row is flagged and carries NaNs
-        nan_row = dict.fromkeys(("T", "R", "unitarity_defect"), float("nan"))
-        for n in spec.sideband_orders:
-            nan_row[f"T_{n}"] = float("nan")
-        if spec.method == "both":
-            nan_row["discrepancy"] = float("nan")
-        return nan_row, -1, True
-    hb_total = None
-    if spec.method in ("harmonic_balance", "both") and params.mod_freq > 0:
-        order = int(sset.ns[-1])
-        hb_set = amplitudes_from_excitation(
-            harmonic_balance_solve(params, delta, order), params, delta
+        out[f"T_{n}"][rows] = (
+            [float(abs(z) ** 2) for z in t[:, i]] if 0 <= i < len(sset.ns)
+            else 0.0
         )
-        if spec.method == "harmonic_balance":
-            sset = hb_set
-        else:
-            hb_total = hb_set.total_T
-    if sset.unitarity_defect > UNITARITY_FLAG_TOL:
-        flagged = True
-    return (
-        _observables_for_row(sset, spec, hb_total),
-        int(sset.ns[-1]),
-        flagged,
-    )
+
+
+def _eval_block(
+    spec: SweepSpec, values: np.ndarray, tables: dict
+) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray]:
+    """Columns, truncation orders and flags of consecutive rows that share
+    one EmitterParams.
+
+    The rows go through the series at the first window N together; only
+    the rows whose unitarity defect fails go on at 2N, and rows still
+    failing at the cap carry NaNs and are flagged. Harmonic balance runs on
+    the converged rows of each window. The warnings come out in row order,
+    as a row-by-row evaluation gives them, and a harmonic-balance failure
+    raises for the first failing row.
+    """
+    pairs = [spec.params_at(v) for v in values]
+    params = pairs[0][0]
+    static = params.mod_freq == 0
+    names = ["T", "R", "unitarity_defect"]
+    names += [f"T_{n}" for n in spec.sideband_orders]
+    if spec.method == "both" and not static:
+        names.append("discrepancy")
+    out = dict(zip(names, np.full((len(names), len(pairs)), np.nan)))
+    orders = np.full(len(pairs), -1)
+    flags = np.ones(len(pairs), bool)
+    if static:
+        # row by row, on the detuning as given: Python's complex division
+        # and numpy's differ in the last bits
+        for k, (_, delta) in enumerate(pairs):
+            sset = evaluate_sidebands(params, delta)
+            _store(out, [k], sset, spec.sideband_orders)
+            orders[k] = sset.ns[-1]
+            flags[k] = sset.unitarity_defect > UNITARITY_FLAG_TOL
+        return out, orders, flags
+
+    deltas = np.array([delta for _, delta in pairs])
+    nonpositive = [[] for _ in pairs]   # per row, a count per evaluation
+    windows = []                        # (rows, the block they converged in)
+    pending = np.arange(len(pairs))
+    for n in _truncation_orders(params):
+        blk = _series_block(params, deltas[pending], n, tables=tables)
+        for k, count in zip(pending.tolist(), blk.nonpositive.tolist()):
+            nonpositive[k].append(count)
+        ok = blk.unitarity_defect < TRUNCATION_TOL
+        if ok.all():
+            windows.append((pending, blk))
+            break
+        if ok.any():
+            windows.append((pending[ok], blk.take(ok)))
+        pending = pending[~ok]
+
+    failure = None  # (row, error) of the first failing harmonic balance
+    for rows, used in windows:
+        n = int(used.ns[-1])
+        orders[rows] = n
+        if spec.method != "series":
+            try:
+                hb = _harmonic_balance_block(params, deltas[rows], n)
+            except SingularSystemError as err:
+                if failure is None or rows[err.row] < failure[0]:
+                    failure = (rows[err.row], err)
+                continue
+            if spec.method == "both":
+                out["discrepancy"][rows] = np.abs(used.total_T - hb.total_T)
+            else:
+                used = hb
+        _store(out, rows, used, spec.sideband_orders)
+        flags[rows] = used.unitarity_defect > UNITARITY_FLAG_TOL
+
+    stop = len(pairs) if failure is None else failure[0]
+    for k in range(min(stop + 1, len(pairs))):
+        counts = nonpositive[k]
+        if spec.method != "series" and orders[k] >= 0 and k < stop:
+            counts = counts + counts[-1:]  # the HB set, on the same window
+        for count in counts:
+            if count:
+                _warn_nonpositive(count)
+    if failure is not None:
+        raise failure[1]
+    return out, orders, flags
 
 
 def run_sweep(spec: SweepSpec) -> SpectrumDataset:
-    """Evaluate the sweep point by point, rows in axis order.
+    """Evaluate the sweep in blocks of rows, rows in axis order.
 
-    The rows share one dict of series tables for the length of the call, so
+    Along a detuning axis every row has the same EmitterParams, so blocks
+    of up to BLOCK_ROWS rows share the series, its retries and harmonic
+    balance (_eval_block); along the other axes each row is a block. The
+    blocks share one dict of series tables for the length of the call, so
     along a detuning axis the Bessel tables are built once, not per row.
     """
     values = spec.axis_values()
+    size = BLOCK_ROWS if spec.axis == "detuning" else 1
     tables: dict = {}
-    results = [_eval_point(spec, v, tables) for v in values]
-    names = list(results[0][0].keys())
-    columns = {
-        name: np.array([row[name] for row, _, _ in results]) for name in names
-    }
+    blocks = [_eval_block(spec, values[i:i + size], tables)
+              for i in range(0, len(values), size)]
     return SpectrumDataset(
         spec=spec,
         axis_values=values,
-        columns=columns,
-        truncation_orders=np.array([order for _, order, _ in results]),
-        flags=np.array([flag for _, _, flag in results]),
+        columns={name: np.concatenate([cols[name] for cols, _, _ in blocks])
+                 for name in blocks[0][0]},
+        truncation_orders=np.concatenate([order for _, order, _ in blocks]),
+        flags=np.concatenate([flag for _, _, flag in blocks]),
     )
 
 

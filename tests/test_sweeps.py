@@ -1,17 +1,23 @@
 import gc
+import warnings
 
 import numpy as np
 import pytest
 
-from conftest import count_bessel_calls, table_refs, without_tables
-from modscatter import scattering, sweeps
+from conftest import count_bessel_calls, table_refs
+from modscatter import oracles, scattering, sweeps
 from modscatter.cli import main
 from modscatter import (
     OutOfRangeError,
+    SingularSystemError,
     SweepSpec,
+    TruncationError,
+    amplitudes_from_excitation,
     evaluate_sidebands,
     figure_presets,
+    harmonic_balance_solve,
     normalized_params,
+    reflection_amplitudes,
     run_sweep,
 )
 
@@ -188,6 +194,19 @@ AMP_SWEEP_ARGV = ["spectrum", "--axis", "mod_amp_energy", "--range", "0.1:30:101
                   "--detuning", "2", "--mod-freq", "1.3", "--method", "both"]
 
 
+def rows_alone(monkeypatch):
+    """Make run_sweep evaluate each row as a block of its own and build the
+    series tables afresh on every lookup, as a row-by-row sweep without a
+    shared dict does."""
+    monkeypatch.setattr(sweeps, "BLOCK_ROWS", 1)
+
+    def fresh(tables, params, N):
+        u = scattering.modulation_index(params)
+        return scattering._series_tables(u, params.mod_freq, N)
+
+    monkeypatch.setattr(scattering, "_cached_tables", fresh)
+
+
 class TestSeriesTablesPerSweep:
     """run_sweep builds the u-dependent series tables once per sweep call."""
 
@@ -208,7 +227,7 @@ class TestSeriesTablesPerSweep:
         self, monkeypatch, tmp_path, argv
     ):
         shared = self.csv_bytes(tmp_path, argv, "shared.csv")
-        without_tables(monkeypatch, sweeps)
+        rows_alone(monkeypatch)
         assert self.csv_bytes(tmp_path, argv, "per_row.csv") == shared
 
     @pytest.mark.parametrize("argv, points, keys", [
@@ -221,7 +240,7 @@ class TestSeriesTablesPerSweep:
         self.csv_bytes(tmp_path, argv, "shared.csv")
         shared = list(calls)
         calls.clear()
-        without_tables(monkeypatch, sweeps)
+        rows_alone(monkeypatch)
         self.csv_bytes(tmp_path, argv, "per_row.csv")
         assert len(calls) >= points  # at least one per row
         assert len(set(calls)) == keys
@@ -232,7 +251,7 @@ class TestSeriesTablesPerSweep:
         run_sweep(AMP_SWEEP)
         shared = len(calls)
         calls.clear()
-        without_tables(monkeypatch, sweeps)
+        rows_alone(monkeypatch)
         run_sweep(AMP_SWEEP)
         assert shared <= len(calls)
 
@@ -250,14 +269,231 @@ class TestSeriesTablesPerSweep:
 
     def test_tables_hold_one_u_at_a_time(self, monkeypatch):
         seen = []
-        plain = scattering.evaluate_sidebands
+        plain = sweeps._eval_block
 
-        def watched(*args, tables, **kwargs):
-            out = plain(*args, tables=tables, **kwargs)
+        def watched(spec, values, tables):
+            out = plain(spec, values, tables)
             seen.append(({key[0] for key in tables}, len(tables)))
             return out
 
-        monkeypatch.setattr(sweeps, "evaluate_sidebands", watched)
+        monkeypatch.setattr(sweeps, "_eval_block", watched)
         run_sweep(AMP_SWEEP)
         assert len(seen) == AMP_SWEEP.points
         assert all(len(us) == 1 and n <= 6 for us, n in seen)
+
+
+def per_row_reference(spec):
+    """(columns, truncation orders, flags) of the sweep, row by row through
+    the per-row functions: evaluate_sidebands, harmonic_balance_solve and
+    amplitudes_from_excitation, each with tables of its own."""
+    rows, orders, flags = [], [], []
+    for value in spec.axis_values():
+        params, delta = spec.params_at(value)
+        try:
+            sset = evaluate_sidebands(params, delta)
+        except TruncationError:
+            row = dict.fromkeys(["T", "R", "unitarity_defect"]
+                                + [f"T_{n}" for n in spec.sideband_orders],
+                                float("nan"))
+            if spec.method == "both":
+                row["discrepancy"] = float("nan")
+            rows.append(row)
+            orders.append(-1)
+            flags.append(True)
+            continue
+        hb_total = None
+        if spec.method != "series" and params.mod_freq > 0:
+            order = int(sset.ns[-1])
+            hb = amplitudes_from_excitation(
+                harmonic_balance_solve(params, delta, order), params, delta
+            )
+            if spec.method == "harmonic_balance":
+                sset = hb
+            else:
+                hb_total = hb.total_T
+        row = {"T": sset.total_T, "R": sset.total_R,
+               "unitarity_defect": sset.unitarity_defect}
+        for n in spec.sideband_orders:
+            i = n - int(sset.ns[0])
+            row[f"T_{n}"] = (float(abs(sset.t[i]) ** 2)
+                             if 0 <= i < len(sset.ns) else 0.0)
+        if hb_total is not None:
+            row["discrepancy"] = abs(sset.total_T - hb_total)
+        rows.append(row)
+        orders.append(int(sset.ns[-1]))
+        flags.append(bool(sset.unitarity_defect > sweeps.UNITARITY_FLAG_TOL))
+    columns = {name: np.array([row[name] for row in rows]) for name in rows[0]}
+    return columns, orders, flags
+
+
+def assert_same_bits(ds, reference):
+    columns, orders, flags = reference
+    assert list(ds.columns) == list(columns)
+    for name, col in columns.items():
+        assert ds.columns[name].tobytes() == col.tobytes(), name
+    assert ds.truncation_orders.tolist() == orders
+    assert ds.flags.tolist() == flags
+
+
+def sideband_warnings(fn, spec):
+    """What fn(spec) returns or raises, and its non-positive sideband
+    warnings in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = fn(spec)
+        except SingularSystemError as err:
+            out = err
+    return out, [str(w.message) for w in caught
+                 if "non-positive" in str(w.message)]
+
+
+def detuning_spec(points, amp=30.0, freq=1.0, start=-30.0, stop=30.0, **kw):
+    return SweepSpec(axis="detuning", start=start, stop=stop, points=points,
+                     mod_amp_energy=amp, mod_freq=freq, **kw)
+
+
+class TestBlockRows:
+    """Rows evaluated in blocks are bit for bit the rows of the per-row
+    functions, with the same warnings in the same order."""
+
+    @pytest.mark.parametrize("spec", [
+        # the resonance at Delta = -30 omega doubles N on rows 0-11 only
+        detuning_spec(201, method="both", sideband_orders=(-1, 0, 1)),
+        detuning_spec(201, method="harmonic_balance", sideband_orders=(0, 2)),
+        # u = 400 starts at N = 471: rows converge there, at the cap N = 512,
+        # or not at all (NaN, flagged)
+        detuning_spec(21, amp=400.0, start=-500.0, stop=500.0, method="both",
+                      sideband_orders=(0, 600)),
+        *[detuning_spec(n, start=-40.0, stop=40.0, method="both",
+                        sideband_orders=(0, 1)) for n in (63, 64, 65, 129)],
+        detuning_spec(101, amp=5.0, freq=0.0, sideband_orders=(0, 1)),
+        SweepSpec(axis="mod_freq", start=0.0, stop=4.0, points=9,
+                  detuning=0.5, mod_amp_energy=5.0, method="both"),
+        AMP_SWEEP,
+    ], ids=["doubling-both", "doubling-hb", "cap", "rows63", "rows64",
+            "rows65", "rows129", "static", "mod_freq", "mod_amp_energy"])
+    def test_rows_equal_the_per_row_functions(self, spec):
+        assert_same_bits(run_sweep(spec), per_row_reference(spec))
+
+    def test_a_retry_splits_a_block_and_the_cap_flags_rows(self):
+        doubling = run_sweep(detuning_spec(201)).truncation_orders
+        assert len(set(doubling[:sweeps.BLOCK_ROWS].tolist())) == 2
+        capped = run_sweep(detuning_spec(21, amp=400.0, start=-500.0,
+                                         stop=500.0))
+        assert set(capped.truncation_orders.tolist()) == {-1, 471, 512}
+        assert np.all(capped.flags == (capped.truncation_orders == -1))
+        assert np.all(np.isnan(capped.columns["T"][capped.flags]))
+
+    @pytest.mark.parametrize("method", ["series", "both"])
+    def test_warnings_come_in_row_order(self, method):
+        # Omega = 40 gamma: the low sidebands of most rows fall at or below
+        # zero frequency, a different number on each row
+        spec = SweepSpec(axis="detuning", start=-120.0, stop=40.0, points=401,
+                         mod_amp_energy=30.0, mod_freq=10.0, method=method,
+                         omega_ratio=40.0)
+        ds, caught = sideband_warnings(run_sweep, spec)
+        ref, expected = sideband_warnings(per_row_reference, spec)
+        assert_same_bits(ds, ref)
+        assert len(set(expected)) > 10
+        assert caught == expected
+
+    @pytest.mark.parametrize("spec, faults, first", [
+        # rows 0-11 converge at 2N, rows 12-63 at N
+        (detuning_spec(201, method="both"), {5: 2e-6, 40: 1e-6}, "residual"),
+        (detuning_spec(201, method="both"), {40: 1e-6, 50: "pivot"},
+         "residual"),
+        (detuning_spec(201, method="both"), {3: "pivot", 8: 3e-6, 30: 1e-6},
+         "zero pivot"),
+        # rows 9 and 11 converge at N = 512, rows 0, 1, 10 at N = 471
+        (detuning_spec(21, amp=400.0, start=-500.0, stop=500.0,
+                       method="both"), {10: 1e-6, 11: "pivot"}, "residual"),
+    ], ids=["residual-across-windows", "residual-before-pivot",
+            "pivot-first", "interleaved-windows"])
+    def test_harmonic_balance_failure_names_the_first_failing_row(
+        self, monkeypatch, spec, faults, first
+    ):
+        by_delta = {spec.axis_values()[k]: fault for k, fault in faults.items()}
+        solve = oracles._solve_tridiagonal
+
+        def faulty(dl, d, du, b):
+            fault = by_delta.get(d[len(d) // 2].real)  # Delta at n = 0
+            if fault == "pivot":
+                raise SingularSystemError("tridiagonal solve met a zero pivot")
+            x = solve(dl, d, du, b)
+            return [z * (1.0 + fault) for z in x] if fault else x
+
+        monkeypatch.setattr(oracles, "_solve_tridiagonal", faulty)
+        err, _ = sideband_warnings(run_sweep, spec)
+        expected, _ = sideband_warnings(per_row_reference, spec)
+        assert isinstance(err, SingularSystemError)
+        assert str(err) == str(expected)
+        assert first in str(err)
+
+    def test_failure_keeps_the_warnings_before_it(self, monkeypatch):
+        spec = SweepSpec(axis="detuning", start=-120.0, stop=40.0, points=401,
+                         mod_amp_energy=30.0, mod_freq=10.0, method="both",
+                         omega_ratio=40.0)
+        failing = spec.axis_values()[100]
+        solve = oracles._solve_tridiagonal
+
+        def faulty(dl, d, du, b):
+            x = solve(dl, d, du, b)
+            return [2.0 * z for z in x] if d[len(d) // 2].real == failing else x
+
+        monkeypatch.setattr(oracles, "_solve_tridiagonal", faulty)
+        err, caught = sideband_warnings(run_sweep, spec)
+        expected, before = sideband_warnings(per_row_reference, spec)
+        assert isinstance(err, SingularSystemError)
+        assert str(err) == str(expected)
+        assert caught == before
+
+    @pytest.mark.parametrize("coupling", [0.0, 1.3])
+    def test_block_functions_equal_the_per_row_functions(self, coupling):
+        params = scattering.EmitterParams(
+            omega_a=20.0, mod_amp=0.5, mod_freq=2.0, coupling=coupling,
+            group_velocity=1.0,
+        )
+        deltas = np.linspace(-30.0, 10.0, 7)
+        blk = scattering._series_block(params, deltas, 16, tables={})
+        for k, delta in enumerate(deltas):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                ref = reflection_amplitudes(params, delta, 16)
+            assert blk.r[k].tobytes() == ref.r.tobytes()
+            assert blk.t[k].tobytes() == ref.t.tobytes()
+            assert blk.total_T[k] == ref.total_T
+            assert blk.total_R[k] == ref.total_R
+            assert blk.unitarity_defect[k] == ref.unitarity_defect
+            assert blk.nonpositive[k] == sum(
+                int(str(w.message).split()[0]) for w in caught)
+        if coupling == 0:
+            with pytest.raises(SingularSystemError, match="zero coupling"):
+                oracles._harmonic_balance_block(params, deltas, 16)
+            return
+        hb = oracles._harmonic_balance_block(params, deltas, 16)
+        for k, delta in enumerate(deltas):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                ref = amplitudes_from_excitation(
+                    harmonic_balance_solve(params, delta, 16), params, delta)
+            assert hb.r[k].tobytes() == ref.r.tobytes()
+            assert hb.total_T[k] == ref.total_T
+            assert hb.unitarity_defect[k] == ref.unitarity_defect
+
+    def test_blocks_stay_within_block_rows(self, monkeypatch):
+        shapes = []
+        for name in ("_series_block", "_harmonic_balance_block"):
+            def recorded(params, deltas, n, *args, _plain=getattr(sweeps, name),
+                         _name=name, **kwargs):
+                shapes.append((_name, len(deltas), n))
+                return _plain(params, deltas, n, *args, **kwargs)
+
+            monkeypatch.setattr(sweeps, name, recorded)
+        ds = run_sweep(detuning_spec(1000, method="both"))
+        assert max(rows for _, rows, _ in shapes) == sweeps.BLOCK_ROWS
+        first = [rows for name, rows, n in shapes
+                 if name == "_series_block" and n == 67]
+        assert sum(first) == 1000 and len(first) == 16  # ceil(1000 / 64)
+        assert {n for _, _, n in shapes} == {67, 134}
+        assert not np.any(ds.flags)
