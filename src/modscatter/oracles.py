@@ -26,11 +26,14 @@ import numpy as np
 from .errors import OutOfRangeError, SingularSystemError
 from .params import EmitterParams
 from .scattering import (
+    BLOCK_ROWS,
     SidebandBlock,
     SidebandSet,
-    _assemble,
     _assemble_block,
-    evaluate_sidebands,
+    _converge_block,
+    _one_row,
+    _warn_nonpositive,
+    evaluate_sidebands,  # noqa: F401 (unused; perfbench/tracing.py wraps it)
 )
 
 RESIDUAL_TOL = 1e-12
@@ -187,8 +190,27 @@ def _harmonic_balance_block(
     """The harmonic-balance amplitudes r_n = V e_n/(i v_g) and totals of
     each detuning at one order, as a block (see _hb_excitations)."""
     e = _hb_excitations(params, detunings, order)
-    r = params.coupling * e / (1j * params.group_velocity)
-    return _assemble_block(params, detunings, r)
+    ns = np.arange(-order, order + 1)
+    return _assemble_block(params, detunings, ns, _amplitudes(params, e))
+
+
+def _harmonic_balance_windows(
+    params: EmitterParams, detunings: np.ndarray, windows: list
+) -> tuple[list, int, SingularSystemError | None]:
+    """Harmonic balance on each converged window of _converge_block, at the
+    window's N: a block per window (None where it failed), the first
+    failing row in row order (len(detunings) if none) and its error."""
+    hbs, stop, failure = [], len(detunings), None
+    for rows, series in windows:
+        try:
+            hbs.append(_harmonic_balance_block(
+                params, detunings[rows], int(series.ns[-1])
+            ))
+        except SingularSystemError as err:
+            hbs.append(None)
+            if rows[err.row] < stop:
+                stop, failure = int(rows[err.row]), err
+    return hbs, stop, failure
 
 
 @dataclass(frozen=True)
@@ -324,12 +346,20 @@ def fourier_extract(trace: TimeDomainTrace, n_max: int) -> ExcitationSpectrum:
     return ExcitationSpectrum(ns=ns, coeffs=coeffs)
 
 
+def _amplitudes(params: EmitterParams, e: np.ndarray) -> np.ndarray:
+    """r_n = V e_n/(i v_g), elementwise."""
+    return np.asarray(params.coupling * e / (1j * params.group_velocity),
+                      complex)
+
+
 def amplitudes_from_excitation(
     spec: ExcitationSpectrum, params: EmitterParams, detuning: float
 ) -> SidebandSet:
     """Convert an excitation spectrum to amplitudes via r_n = V e_n/(i v_g)."""
-    r = params.coupling * spec.coeffs / (1j * params.group_velocity)
-    return _assemble(params, detuning, spec.ns, np.asarray(r, complex))
+    return _one_row(_assemble_block(
+        params, np.array([detuning], float), spec.ns,
+        _amplitudes(params, spec.coeffs)[None],
+    ))
 
 
 @dataclass(frozen=True)
@@ -373,47 +403,50 @@ def cross_validate(
 
     The comparison window is the time-domain sideband range (the narrowest);
     outside it the other two routes have only exponentially small content.
-    The series tables are built once per call and shared by every detuning.
+    The series and harmonic balance run in blocks of up to BLOCK_ROWS
+    detunings that share one dict of series tables; the warnings and the
+    first failure come in detuning order.
     """
     deltas = np.atleast_1d(np.asarray(detuning, float))
-    tables: dict = {}
     n_td = 12 if params.mod_amp > 0 else 4
     trace = time_domain_excitation(params, deltas)
     td_spec = fourier_extract(trace, n_td)
-    dev_hb = np.empty(len(deltas))
-    dev_td = np.empty(len(deltas))
-    d_series = np.empty(len(deltas))
-    d_hb = np.empty(len(deltas))
-    d_td = np.empty(len(deltas))
-    for j, d in enumerate(deltas):
-        sset = evaluate_sidebands(params, d, tol=1e-11, tables=tables)
-        hb = harmonic_balance_solve(params, d, order=int(sset.ns[-1]))
-        hb_set = amplitudes_from_excitation(hb, params, d)
-        td_coeffs = td_spec.coeffs[:, j]
-        td_set = amplitudes_from_excitation(
-            ExcitationSpectrum(ns=td_spec.ns, coeffs=td_coeffs), params, d
+    # one C-contiguous row per detuning, so that each row sums as one set
+    r_td = _amplitudes(params, np.ascontiguousarray(td_spec.coeffs.T))
+    td = _assemble_block(params, deltas, td_spec.ns, r_td)
+    dev_hb, dev_td, d_series, d_hb = np.empty((4, len(deltas)))
+    tables: dict = {}
+    for lo in range(0, len(deltas), BLOCK_ROWS):
+        block = deltas[lo:lo + BLOCK_ROWS]
+        windows, (failed, error), counts = _converge_block(
+            params, block, 1e-11, tables
         )
-        # align on the sideband window of each pair
-        dev_hb[j] = _max_amplitude_dev(sset, hb_set)
-        dev_td[j] = _max_amplitude_dev(sset, td_set)
-        d_series[j] = sset.unitarity_defect
-        d_hb[j] = hb_set.unitarity_defect
-        d_td[j] = td_set.unitarity_defect
+        hbs, stop, failure = _harmonic_balance_windows(params, block, windows)
+        if len(failed) and failed[0] < stop:
+            stop, failure = failed[0], error
+        for k in range(min(stop + 1, len(block))):
+            # each series window, then the harmonic-balance set on the last
+            # of them, then the time-domain set
+            tail = [counts[k][-1], td.nonpositive[lo + k]] if k < stop else []
+            _warn_nonpositive(counts[k] + tail)
+        if failure is not None:
+            raise failure
+        for (rows, series), hb in zip(windows, hbs):
+            N, at = int(series.ns[-1]), lo + rows
+            # the series window [-N, N] holds the time-domain one
+            window = series.r[:, N - n_td:N + n_td + 1]
+            dev_hb[at] = np.max(np.abs(series.r - hb.r), axis=1)
+            dev_td[at] = np.max(np.abs(window - td.r[at]), axis=1)
+            d_series[at] = series.unitarity_defect
+            d_hb[at] = hb.unitarity_defect
     return ValidationReport(
         detunings=deltas,
         dev_series_hb=dev_hb,
         dev_series_td=dev_td,
         defect_series=d_series,
         defect_hb=d_hb,
-        defect_td=d_td,
+        defect_td=td.unitarity_defect,
         periodicity_defect=periodicity_defect(trace, params),
         tol_series_hb=tol_series_hb,
         tol_td=tol_td,
     )
-
-
-def _max_amplitude_dev(a: SidebandSet, b: SidebandSet) -> float:
-    ns = np.intersect1d(a.ns, b.ns)
-    ia = ns - a.ns[0]
-    ib = ns - b.ns[0]
-    return float(np.max(np.abs(a.r[ia] - b.r[ib])))

@@ -35,6 +35,8 @@ SUM_MARGIN = 8
 SIDEBAND_CAP = 512
 # the unitarity defect below which auto-truncation accepts a window
 TRUNCATION_TOL = 1e-10
+# detunings evaluated together; bounds the (rows, 2N+1) arrays of a block
+BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -56,12 +58,13 @@ class SidebandSet:
 @dataclass(frozen=True)
 class SidebandBlock:
     """The sideband amplitudes and totals of several detunings at one
-    modulation and one window n in [-N, N], N = ns[-1]; row k of every
-    array belongs to the k-th detuning."""
+    modulation on the orders ns, as a rule the window n in [-N, N] with
+    N = ns[-1]; row k of every array belongs to the k-th detuning."""
 
     ns: np.ndarray
-    r: np.ndarray                 # (rows, 2N+1)
-    t: np.ndarray                 # (rows, 2N+1), t_n = r_n + delta_{n0}
+    omega: np.ndarray             # (rows, len(ns)), omega_n of each row
+    r: np.ndarray                 # (rows, len(ns))
+    t: np.ndarray                 # (rows, len(ns)), t_n = r_n + delta_{n0}
     total_T: np.ndarray
     total_R: np.ndarray
     unitarity_defect: np.ndarray
@@ -70,9 +73,17 @@ class SidebandBlock:
     def take(self, rows) -> SidebandBlock:
         """The block of the selected rows."""
         return SidebandBlock(
-            self.ns, self.r[rows], self.t[rows], self.total_T[rows],
-            self.total_R[rows], self.unitarity_defect[rows],
-            self.nonpositive[rows],
+            self.ns, self.omega[rows], self.r[rows], self.t[rows],
+            self.total_T[rows], self.total_R[rows],
+            self.unitarity_defect[rows], self.nonpositive[rows],
+        )
+
+    def row(self, k: int) -> SidebandSet:
+        """Row k as a SidebandSet."""
+        return SidebandSet(
+            ns=self.ns, omega=self.omega[k], r=self.r[k], t=self.t[k],
+            total_T=float(self.total_T[k]), total_R=float(self.total_R[k]),
+            unitarity_defect=float(self.unitarity_defect[k]),
         )
 
 
@@ -119,26 +130,11 @@ def _cached_tables(tables: dict, params: EmitterParams, N: int) -> tuple:
     return tables[key]
 
 
-def _series_r(
-    params: EmitterParams,
-    detuning: float,
-    N: int,
-    tables: dict | None = None,
-) -> np.ndarray:
-    """Reflection amplitudes r_n for n in [-N, N] by direct series summation,
-    with the tables of an optional per-sweep dict (see _cached_tables)."""
-    gamma = params.gamma
-    if params.coupling == 0:
-        return np.zeros(2 * N + 1, complex)
-    jl, jnl, lw = _cached_tables({} if tables is None else tables, params, N)
-    weights = jl / (detuning - lw + 1j * gamma)
-    return -1j * gamma * (jnl @ weights)
-
-
 def _series_block(
     params: EmitterParams, detunings: np.ndarray, N: int, *, tables: dict
 ) -> SidebandBlock:
-    """reflection_amplitudes at N for each of `detunings`, as one block.
+    """The series amplitudes r_n, n in [-N, N], of each of `detunings` as
+    one block, with the tables of a per-call dict (see _cached_tables).
 
     The weights of all rows are one broadcast division, and each row keeps
     its own matrix-vector product with J_{n+l}: one matrix-matrix product
@@ -152,63 +148,41 @@ def _series_block(
         weights = jl / (detunings[:, None] - lw + 1j * gamma)
         for k in range(rows):
             r[k] = -1j * gamma * (jnl @ weights[k])
-    return _assemble_block(params, detunings, r)
+    return _assemble_block(params, detunings, np.arange(-N, N + 1), r)
 
 
-def _warn_nonpositive(count: int) -> None:
-    """The warning for `count` sidebands at non-positive frequency."""
-    warnings.warn(
-        f"{count} sideband(s) fall at non-positive "
-        "frequency; they are kept in the totals but the linear-dispersion "
-        "model is not physical there",
-        stacklevel=caller_stacklevel(),
-    )
-
-
-def _assemble(
-    params: EmitterParams,
-    detuning: float,
-    ns: np.ndarray,
-    r: np.ndarray,
-) -> SidebandSet:
-    t = r.copy()
-    i0 = np.nonzero(ns == 0)[0]
-    if len(i0):
-        t[i0[0]] += 1.0
-    omega_0 = params.omega_a + detuning
-    omega_n = omega_0 + ns * params.mod_freq
-    if np.any(omega_n <= 0):
-        _warn_nonpositive(int(np.sum(omega_n <= 0)))
-    total_T = float(np.sum(np.abs(t) ** 2))
-    total_R = float(np.sum(np.abs(r) ** 2))
-    return SidebandSet(
-        ns=ns,
-        omega=omega_n,
-        r=r,
-        t=t,
-        total_T=total_T,
-        total_R=total_R,
-        unitarity_defect=abs(1.0 - (total_T + total_R)),
-    )
+def _warn_nonpositive(counts) -> None:
+    """One warning per nonzero entry of `counts`, the numbers of sidebands
+    at non-positive frequency of successive evaluations."""
+    for count in filter(None, counts):
+        warnings.warn(
+            f"{count} sideband(s) fall at non-positive frequency; they are "
+            "kept in the totals but the linear-dispersion model is not "
+            "physical there",
+            stacklevel=caller_stacklevel(),
+        )
 
 
 def _assemble_block(
-    params: EmitterParams, detunings: np.ndarray, r: np.ndarray
+    params: EmitterParams, detunings: np.ndarray, ns: np.ndarray, r: np.ndarray
 ) -> SidebandBlock:
-    """_assemble for the rows r[k] at detunings[k], on the window [-N, N].
+    """The transmission amplitudes, totals and unitarity defects of the
+    rows r[k] at detunings[k] on the orders ns; t_n = r_n + 1 at the first
+    n = 0, if any.
 
     The rows' sidebands at non-positive frequency are counted, not warned
     about: the caller warns (_warn_nonpositive) in its own row order.
     """
-    N = r.shape[1] // 2
-    ns = np.arange(-N, N + 1)
     t = r.copy()
-    t[:, N] += 1.0
+    zero = (ns == 0).nonzero()[0]
+    if len(zero):
+        t[:, zero[0]] += 1.0
     omega_n = (params.omega_a + detunings)[:, None] + ns * params.mod_freq
     total_T = (np.abs(t) ** 2).sum(axis=1)
     total_R = (np.abs(r) ** 2).sum(axis=1)
     return SidebandBlock(
         ns=ns,
+        omega=omega_n,
         r=r,
         t=t,
         total_T=total_T,
@@ -218,19 +192,21 @@ def _assemble_block(
     )
 
 
+def _one_row(blk: SidebandBlock) -> SidebandSet:
+    """The set of a one-row block, after its non-positive-frequency
+    warning."""
+    _warn_nonpositive(blk.nonpositive)
+    return blk.row(0)
+
+
 def reflection_amplitudes(
-    params: EmitterParams,
-    detuning: float,
-    sideband_max: int,
-    *,
-    tables: dict | None = None,
+    params: EmitterParams, detuning: float, sideband_max: int
 ) -> SidebandSet:
     """Evaluate the sideband amplitudes at one detuning for n in
     [-sideband_max, sideband_max].
 
     The returned set carries both r_n and t_n (one series evaluation; the
     transmission side is the structural identity, never a second sum).
-    `tables` is an optional per-sweep dict of series tables (see _series_r).
     """
     if params.mod_freq == 0:
         raise StaticLimitError(
@@ -238,9 +214,9 @@ def reflection_amplitudes(
         )
     if sideband_max < 0:
         raise ValueError("sideband_max must be >= 0")
-    r = _series_r(params, detuning, sideband_max, tables)
-    ns = np.arange(-sideband_max, sideband_max + 1)
-    return _assemble(params, detuning, ns, r)
+    return _one_row(_series_block(
+        params, np.array([detuning], float), sideband_max, tables={}
+    ))
 
 
 def static_limit_amplitudes(params: EmitterParams, detuning: float) -> SidebandSet:
@@ -259,11 +235,10 @@ def static_limit_amplitudes(params: EmitterParams, detuning: float) -> SidebandS
         delta_eff = detuning - params.mod_amp * params.omega_a
     else:
         delta_eff = detuning
-    if gamma == 0:
-        r0 = 0.0 + 0.0j
-    else:
-        r0 = -1j * gamma / (delta_eff + 1j * gamma)
-    return _assemble(params, detuning, np.arange(0, 1), np.array([r0]))
+    r0 = 0j if gamma == 0 else -1j * gamma / (delta_eff + 1j * gamma)
+    return _one_row(_assemble_block(
+        params, np.array([detuning], float), np.arange(0, 1), np.array([[r0]])
+    ))
 
 
 def _truncation_orders(params: EmitterParams):
@@ -279,46 +254,66 @@ def _truncation_orders(params: EmitterParams):
         yield n
 
 
+def _converge_block(
+    params: EmitterParams, detunings: np.ndarray, tol: float, tables: dict
+) -> tuple[list, tuple, list]:
+    """Auto-truncation of a block of detunings at one modulation: every row
+    goes through the series at the first window of _truncation_orders, and
+    the rows whose unitarity defect is not below tol go on at the next.
+
+    Returns the converged windows as (rows, block) pairs in window order;
+    the rows still failing at SIDEBAND_CAP with the TruncationError of the
+    first of them (None if none failed); and per row the number of
+    sidebands at non-positive frequency of each window it went through.
+    """
+    if not (tol > 0):
+        raise ValueError("tol must be positive")
+    windows, counts = [], [[] for _ in detunings]
+    pending = np.arange(len(detunings))
+    best = np.full(len(detunings), np.inf)
+    for n in _truncation_orders(params):
+        blk = _series_block(params, detunings[pending], n, tables=tables)
+        for k, count in zip(pending.tolist(), blk.nonpositive.tolist()):
+            counts[k].append(count)
+        ok = blk.unitarity_defect < tol
+        if ok.all():
+            windows.append((pending, blk))
+            return windows, ([], None), counts
+        if ok.any():
+            windows.append((pending[ok], blk.take(ok)))
+        pending = pending[~ok]
+        best[pending] = np.fmin(best[pending], blk.unitarity_defect[~ok])
+    least = float(best[pending[0]])
+    error = TruncationError(
+        f"unitarity defect {least:.3e} still above tol={tol:g} "
+        f"at sideband_max={n}",
+        achieved_defect=least,
+    )
+    return windows, (pending.tolist(), error), counts
+
+
 def auto_truncation(
-    params: EmitterParams,
-    detuning: float,
-    tol: float = TRUNCATION_TOL,
-    *,
-    tables: dict | None = None,
+    params: EmitterParams, detuning: float, tol: float = TRUNCATION_TOL
 ) -> SidebandSet:
     """The first sideband set whose unitarity defect is below tol, over the
     windows of _truncation_orders; past SIDEBAND_CAP it raises
     TruncationError. The converged set is returned as evaluated; its
-    truncation is N = ns[-1].
+    truncation is N = ns[-1]. This is _converge_block on one detuning.
     """
-    if not (tol > 0):
-        raise ValueError("tol must be positive")
-    best_defect = np.inf
-    for n in _truncation_orders(params):
-        sset = reflection_amplitudes(params, detuning, n, tables=tables)
-        best_defect = min(best_defect, sset.unitarity_defect)
-        if sset.unitarity_defect < tol:
-            return sset
-    raise TruncationError(
-        f"unitarity defect {best_defect:.3e} still above tol={tol:g} "
-        f"at sideband_max={n}",
-        achieved_defect=best_defect,
+    windows, (_, error), counts = _converge_block(
+        params, np.array([detuning], float), tol, {}
     )
+    _warn_nonpositive(counts[0])
+    if error is not None:
+        raise error
+    return windows[0][1].row(0)
 
 
 def evaluate_sidebands(
-    params: EmitterParams,
-    detuning: float,
-    tol: float = TRUNCATION_TOL,
-    *,
-    tables: dict | None = None,
+    params: EmitterParams, detuning: float, tol: float = TRUNCATION_TOL
 ) -> SidebandSet:
     """Main entry point: route to the static limit or the modulated series,
-    auto-truncated against tol.
-
-    A caller that evaluates many detunings at one modulation passes the same
-    `tables` dict to each call, so the Bessel tables are built once per u.
-    """
+    auto-truncated against tol."""
     if params.mod_freq == 0:
         return static_limit_amplitudes(params, detuning)
-    return auto_truncation(params, detuning, tol, tables=tables)
+    return auto_truncation(params, detuning, tol)

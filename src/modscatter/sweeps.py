@@ -13,13 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import MAX_POINTS
-from .errors import OutOfRangeError, SingularSystemError
+from .errors import OutOfRangeError
 from .params import OMEGA_RATIO, EmitterParams, normalized_params
-from .oracles import _harmonic_balance_block
+from .oracles import _harmonic_balance_windows
 from .scattering import (
+    BLOCK_ROWS,
     TRUNCATION_TOL,
-    _series_block,
-    _truncation_orders,
+    _converge_block,
     _warn_nonpositive,
     evaluate_sidebands,
 )
@@ -30,9 +30,6 @@ from .oracles import amplitudes_from_excitation, harmonic_balance_solve  # noqa:
 AXES = ("detuning", "mod_amp_energy", "mod_freq")
 METHODS = ("series", "harmonic_balance", "both")
 UNITARITY_FLAG_TOL = 1e-9
-# rows of a detuning axis evaluated together; bounds the (rows, 2N+1)
-# arrays of a block
-BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -96,100 +93,68 @@ class SpectrumDataset:
     flags: np.ndarray               # True where a row failed convergence
 
 
-def _store(out: dict, rows, sset, orders) -> None:
-    """Write the totals and each T_n = |t_n|^2 of a SidebandSet or a
-    SidebandBlock into `rows` of the columns; T_n is zero outside the
-    window."""
+def _store(ds: SpectrumDataset, rows, sset) -> None:
+    """Write the totals, each T_n = |t_n|^2 (zero outside the window), the
+    truncation and the flag of a SidebandSet or a SidebandBlock into `rows`
+    of the dataset."""
+    out = ds.columns
     out["T"][rows] = sset.total_T
     out["R"][rows] = sset.total_R
     out["unitarity_defect"][rows] = sset.unitarity_defect
     t = sset.t.reshape(-1, len(sset.ns))
-    for n in orders:
+    for n in ds.spec.sideband_orders:
         i = int(n) - int(sset.ns[0])
         out[f"T_{n}"][rows] = (
             [float(abs(z) ** 2) for z in t[:, i]] if 0 <= i < len(sset.ns)
             else 0.0
         )
+    ds.truncation_orders[rows] = sset.ns[-1]
+    ds.flags[rows] = sset.unitarity_defect > UNITARITY_FLAG_TOL
 
 
 def _eval_block(
-    spec: SweepSpec, values: np.ndarray, tables: dict
-) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray]:
-    """Columns, truncation orders and flags of consecutive rows that share
-    one EmitterParams.
+    ds: SpectrumDataset, lo: int, values: np.ndarray, tables: dict
+) -> None:
+    """Evaluate the rows from `lo` on, at the axis `values`, which share one
+    EmitterParams, into the dataset.
 
-    The rows go through the series at the first window N together; only
-    the rows whose unitarity defect fails go on at 2N, and rows still
-    failing at the cap carry NaNs and are flagged. Harmonic balance runs on
-    the converged rows of each window. The warnings come out in row order,
-    as a row-by-row evaluation gives them, and a harmonic-balance failure
-    raises for the first failing row.
+    The rows are auto-truncated together (_converge_block); rows still
+    failing at the cap keep their NaNs and flags. Harmonic balance runs on
+    the converged rows of each window. Warnings come in row order, and a
+    harmonic-balance failure raises for the first failing row.
     """
-    pairs = [spec.params_at(v) for v in values]
+    method = ds.spec.method
+    pairs = [ds.spec.params_at(v) for v in values]
     params = pairs[0][0]
-    static = params.mod_freq == 0
-    names = ["T", "R", "unitarity_defect"]
-    names += [f"T_{n}" for n in spec.sideband_orders]
-    if spec.method == "both" and not static:
-        names.append("discrepancy")
-    out = dict(zip(names, np.full((len(names), len(pairs)), np.nan)))
-    orders = np.full(len(pairs), -1)
-    flags = np.ones(len(pairs), bool)
-    if static:
+    if params.mod_freq == 0:
         # row by row, on the detuning as given: Python's complex division
         # and numpy's differ in the last bits
-        for k, (_, delta) in enumerate(pairs):
-            sset = evaluate_sidebands(params, delta)
-            _store(out, [k], sset, spec.sideband_orders)
-            orders[k] = sset.ns[-1]
-            flags[k] = sset.unitarity_defect > UNITARITY_FLAG_TOL
-        return out, orders, flags
-
-    deltas = np.array([delta for _, delta in pairs])
-    nonpositive = [[] for _ in pairs]   # per row, a count per evaluation
-    windows = []                        # (rows, the block they converged in)
-    pending = np.arange(len(pairs))
-    for n in _truncation_orders(params):
-        blk = _series_block(params, deltas[pending], n, tables=tables)
-        for k, count in zip(pending.tolist(), blk.nonpositive.tolist()):
-            nonpositive[k].append(count)
-        ok = blk.unitarity_defect < TRUNCATION_TOL
-        if ok.all():
-            windows.append((pending, blk))
-            break
-        if ok.any():
-            windows.append((pending[ok], blk.take(ok)))
-        pending = pending[~ok]
-
-    failure = None  # (row, error) of the first failing harmonic balance
-    for rows, used in windows:
-        n = int(used.ns[-1])
-        orders[rows] = n
-        if spec.method != "series":
-            try:
-                hb = _harmonic_balance_block(params, deltas[rows], n)
-            except SingularSystemError as err:
-                if failure is None or rows[err.row] < failure[0]:
-                    failure = (rows[err.row], err)
-                continue
-            if spec.method == "both":
-                out["discrepancy"][rows] = np.abs(used.total_T - hb.total_T)
-            else:
-                used = hb
-        _store(out, rows, used, spec.sideband_orders)
-        flags[rows] = used.unitarity_defect > UNITARITY_FLAG_TOL
-
-    stop = len(pairs) if failure is None else failure[0]
-    for k in range(min(stop + 1, len(pairs))):
-        counts = nonpositive[k]
-        if spec.method != "series" and orders[k] >= 0 and k < stop:
-            counts = counts + counts[-1:]  # the HB set, on the same window
-        for count in counts:
-            if count:
-                _warn_nonpositive(count)
-    if failure is not None:
-        raise failure[1]
-    return out, orders, flags
+        windows = [(np.array([k]), evaluate_sidebands(params, delta))
+                   for k, (_, delta) in enumerate(pairs)]
+        hbs = [None] * len(pairs)
+    else:
+        deltas = np.array([delta for _, delta in pairs])
+        windows, (failed, _), counts = _converge_block(
+            params, deltas, TRUNCATION_TOL, tables
+        )
+        hbs, stop, failure = [None] * len(windows), len(pairs), None
+        if method != "series":
+            hbs, stop, failure = _harmonic_balance_windows(
+                params, deltas, windows
+            )
+        for k in range(min(stop + 1, len(pairs))):
+            # each series window, then the HB set on the last of them
+            solved = method != "series" and k not in failed and k < stop
+            _warn_nonpositive(counts[k] + (counts[k][-1:] if solved else []))
+        if failure is not None:
+            raise failure
+    for (rows, used), hb in zip(windows, hbs):
+        at = lo + rows
+        if hb is not None and method == "both":
+            ds.columns["discrepancy"][at] = np.abs(used.total_T - hb.total_T)
+        elif hb is not None:
+            used = hb
+        _store(ds, at, used)
 
 
 def run_sweep(spec: SweepSpec) -> SpectrumDataset:
@@ -198,22 +163,28 @@ def run_sweep(spec: SweepSpec) -> SpectrumDataset:
     Along a detuning axis every row has the same EmitterParams, so blocks
     of up to BLOCK_ROWS rows share the series, its retries and harmonic
     balance (_eval_block); along the other axes each row is a block. The
-    blocks share one dict of series tables for the length of the call, so
-    along a detuning axis the Bessel tables are built once, not per row.
+    blocks share one dict of series tables for the length of the call.
+    Method "both" adds a discrepancy column if any row has omega > 0; it
+    is NaN on the static rows.
     """
     values = spec.axis_values()
-    size = BLOCK_ROWS if spec.axis == "detuning" else 1
-    tables: dict = {}
-    blocks = [_eval_block(spec, values[i:i + size], tables)
-              for i in range(0, len(values), size)]
-    return SpectrumDataset(
+    names = ["T", "R", "unitarity_defect"]
+    names += [f"T_{n}" for n in spec.sideband_orders]
+    freqs = values if spec.axis == "mod_freq" else [spec.mod_freq]
+    if spec.method == "both" and any(f != 0 for f in freqs):
+        names.append("discrepancy")
+    ds = SpectrumDataset(
         spec=spec,
         axis_values=values,
-        columns={name: np.concatenate([cols[name] for cols, _, _ in blocks])
-                 for name in blocks[0][0]},
-        truncation_orders=np.concatenate([order for _, order, _ in blocks]),
-        flags=np.concatenate([flag for _, _, flag in blocks]),
+        columns=dict(zip(names, np.full((len(names), len(values)), np.nan))),
+        truncation_orders=np.full(len(values), -1),
+        flags=np.ones(len(values), bool),
     )
+    size = BLOCK_ROWS if spec.axis == "detuning" else 1
+    tables: dict = {}
+    for lo in range(0, len(values), size):
+        _eval_block(ds, lo, values[lo:lo + size], tables)
+    return ds
 
 
 def figure_presets() -> dict[str, SweepSpec]:

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from modscatter import normalized_params, scattering
+from modscatter import (
+    SidebandSet, normalized_params, oracles, scattering, sweeps,
+)
 
 # Every property test draws the same examples on every run: tier-1 is
 # deterministic. A test's own @settings still sets its max_examples.
@@ -70,14 +72,18 @@ def params_unmodulated():
     return normalized_params(0.0, 2.0)
 
 
-def without_tables(monkeypatch, module):
-    """Route module.evaluate_sidebands to the per-call tables of a plain call."""
-    plain = scattering.evaluate_sidebands
+def rows_alone(monkeypatch):
+    """Make run_sweep and cross_validate evaluate each row as a block of its
+    own and build the series tables afresh on every lookup, as a row-by-row
+    evaluation without a shared dict does."""
+    monkeypatch.setattr(sweeps, "BLOCK_ROWS", 1)
+    monkeypatch.setattr(oracles, "BLOCK_ROWS", 1)
 
-    def per_call(*args, tables=None, **kwargs):
-        return plain(*args, **kwargs)
+    def fresh(tables, params, N):
+        u = scattering.modulation_index(params)
+        return scattering._series_tables(u, params.mod_freq, N)
 
-    monkeypatch.setattr(module, "evaluate_sidebands", per_call)
+    monkeypatch.setattr(scattering, "_cached_tables", fresh)
 
 
 def count_bessel_calls(monkeypatch):
@@ -105,3 +111,57 @@ def table_refs(monkeypatch):
 
     monkeypatch.setattr(scattering, "_series_tables", recorded)
     return refs
+
+
+def record_block_shapes(monkeypatch):
+    """(name, rows, N) of every _series_block and _harmonic_balance_block
+    call, in order."""
+    shapes = []
+    for module, name in ((scattering, "_series_block"),
+                         (oracles, "_harmonic_balance_block")):
+        def recorded(params, deltas, n, *args, _plain=getattr(module, name),
+                     _name=name, **kwargs):
+            shapes.append((_name, len(deltas), n))
+            return _plain(params, deltas, n, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, recorded)
+    return shapes
+
+
+def assemble_row(params, delta, ns, r) -> SidebandSet:
+    """One row of amplitudes r on the orders ns, assembled alone with
+    scalar sums: t_n = r_n + 1 at the first n = 0, omega_n, the totals and
+    the unitarity defect."""
+    t = r.copy()
+    i0 = np.nonzero(ns == 0)[0]
+    if len(i0):
+        t[i0[0]] += 1.0
+    total_T = float(np.sum(np.abs(t) ** 2))
+    total_R = float(np.sum(np.abs(r) ** 2))
+    return SidebandSet(
+        ns=ns, omega=params.omega_a + delta + ns * params.mod_freq, r=r, t=t,
+        total_T=total_T, total_R=total_R,
+        unitarity_defect=abs(1.0 - (total_T + total_R)),
+    )
+
+
+def series_row(params, delta, N) -> SidebandSet:
+    """The series amplitudes of one detuning for |n| <= N, evaluated alone:
+    one weight vector J_l/(Delta - l*omega + i*gamma) and one product with
+    J_{n+l}."""
+    r = np.zeros(2 * N + 1, complex)
+    if params.coupling != 0:
+        gamma = params.gamma
+        jl, jnl, lw = scattering._series_tables(
+            scattering.modulation_index(params), params.mod_freq, N)
+        r = -1j * gamma * (jnl @ (jl / (delta - lw + 1j * gamma)))
+    return assemble_row(params, delta, np.arange(-N, N + 1), r)
+
+
+def same_bits(a, b):
+    """a and b hold bitwise identical amplitudes, totals and truncation."""
+    for name in ("ns", "omega", "r", "t"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    for name in ("total_T", "total_R", "unitarity_defect"):
+        bits = [np.float64(getattr(s, name)).tobytes() for s in (a, b)]
+        assert bits[0] == bits[1], name

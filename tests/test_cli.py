@@ -94,6 +94,31 @@ class TestSpectrumCommand:
         assert len(payload["rows"]) == 3
         assert "T" in payload["rows"][0]
 
+    def test_discrepancy_column_does_not_hang_on_the_first_row(self, tmp_path):
+        """--method both has a discrepancy column when any row is modulated,
+        in either axis direction; the static row (omega = 0) has no harmonic
+        balance and writes nan there. A sweep with no modulated row has no
+        such column."""
+        base = ["spectrum", "--axis", "mod_freq", "--mod-amp-energy", "5",
+                "--method", "both", "--precision", "16"]
+        tables = {}
+        for rng in ("2:0:5", "0:2:5"):
+            out = tmp_path / f"{rng.replace(':', '_')}.csv"
+            assert main(base + ["--range", rng, "--out", str(out)]) == 0
+            tables[rng] = read_csv(out)
+        (_, down, t_down), (_, up, t_up) = tables.values()
+        assert down == up == ["mod_freq", "T", "R", "unitarity_defect",
+                              "discrepancy", "sideband_max", "flagged"]
+        for name in up:
+            np.testing.assert_array_equal(t_down[name][::-1], t_up[name])
+        assert np.isnan(t_up["discrepancy"][0])
+        assert np.all(t_up["discrepancy"][1:] < 1e-8)
+        static = tmp_path / "static.csv"
+        assert main(["spectrum", "--axis", "detuning", "--range=-1:1:3",
+                     "--mod-amp-energy", "5", "--mod-freq", "0", "--method",
+                     "both", "--out", str(static)]) == 0
+        assert "discrepancy" not in read_csv(static)[1]
+
     def test_stamp_adds_a_timestamp_line(self, tmp_path):
         base = ["spectrum", "--axis", "detuning", "--range", "-1:1:3",
                 "--mod-amp-energy", "0", "--mod-freq", "0"]

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from modscatter import (
     OutOfRangeError,
     SingularSystemError,
     TimeDomainTrace,
+    TruncationError,
     amplitudes_from_excitation,
     build_harmonic_balance,
     cross_validate,
@@ -22,8 +24,11 @@ from modscatter import (
     periodicity_defect,
     time_domain_excitation,
 )
-from conftest import count_bessel_calls, table_refs, without_tables
-from modscatter import oracles
+from conftest import (
+    assemble_row, count_bessel_calls, record_block_shapes, rows_alone,
+    same_bits, table_refs,
+)
+from modscatter import oracles, scattering
 from modscatter.cli import main
 
 
@@ -401,9 +406,11 @@ class TestSeriesTablesPerCall:
     """cross_validate builds the series tables once per call, not per detuning."""
 
     def test_default_grid_csv_is_byte_identical(self, monkeypatch, tmp_path):
+        """The default oracle in blocks with shared tables writes the bytes
+        of one-row blocks with fresh tables."""
         shared, per_row = tmp_path / "shared.csv", tmp_path / "per_row.csv"
         assert main(["oracle", "--precision", "16", "--out", str(shared)]) == 0
-        without_tables(monkeypatch, oracles)
+        rows_alone(monkeypatch)
         assert main(["oracle", "--precision", "16", "--out", str(per_row)]) == 0
         assert per_row.read_bytes() == shared.read_bytes()
 
@@ -415,7 +422,7 @@ class TestSeriesTablesPerCall:
         cross_validate(params, deltas)
         shared = list(calls)
         calls.clear()
-        without_tables(monkeypatch, oracles)
+        rows_alone(monkeypatch)
         cross_validate(params, deltas)
         assert len(calls) >= len(deltas)
         assert sorted(shared) == sorted(set(calls))
@@ -426,3 +433,191 @@ class TestSeriesTablesPerCall:
         gc.collect()
         assert refs
         assert all(ref() is None for ref in refs)
+
+
+def raw_params(omega_a, amp, freq):
+    """gamma = 1 with Omega = omega_a, f*Omega = amp and omega = freq; at
+    small Omega the low sidebands fall at omega_n <= 0."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # f = amp/Omega is not small
+        return EmitterParams(omega_a=omega_a, mod_amp=amp / omega_a,
+                             mod_freq=freq, coupling=1.0, group_velocity=1.0)
+
+
+NONPOSITIVE = ("{} sideband(s) fall at non-positive frequency; they are kept "
+               "in the totals but the linear-dispersion model is not physical "
+               "there")
+# f*Omega = 5, omega = 2 at Omega = 20, and f*Omega = 30, omega = 1 at
+# Omega = 40, where the resonance at Delta = -30 doubles N
+OMEGA20 = (raw_params(20.0, 5.0, 2.0), np.linspace(-10.0, 10.0, 7))
+OMEGA40 = (raw_params(40.0, 30.0, 1.0), np.array([-30.0, -25.0, 0.0, 10.0]))
+# u = 400 at Omega = 600: rows 0, 1 converge at N = 471, row 2 not at all
+CAPPED = (raw_params(600.0, 400.0, 1.0), np.linspace(-500.0, 500.0, 21))
+
+
+def flat_time_domain(params, detuning):
+    """A zero orbit of 32 steps per period: the time-domain route at no
+    cost, for grids whose scan would be large."""
+    deltas = np.atleast_1d(np.asarray(detuning, float))
+    return TimeDomainTrace(dt=0.1, samples=np.zeros((33, len(deltas)), complex),
+                           detuning=deltas)
+
+
+def per_detuning_reference(params, deltas):
+    """cross_validate detuning by detuning through the public per-row
+    functions: the series auto-truncated at 1e-11, harmonic balance at its
+    window, the time domain of each column, compared on shared orders."""
+    trace = oracles.time_domain_excitation(params, deltas)
+    td = fourier_extract(trace, 12 if params.mod_amp > 0 else 4)
+    cols = {name: [] for name in ("dev_series_hb", "dev_series_td",
+                                  "defect_series", "defect_hb", "defect_td")}
+    for j, d in enumerate(deltas):
+        sset = evaluate_sidebands(params, d, tol=1e-11)
+        hb = amplitudes_from_excitation(
+            harmonic_balance_solve(params, d, int(sset.ns[-1])), params, d)
+        tdset = amplitudes_from_excitation(
+            ExcitationSpectrum(ns=td.ns, coeffs=td.coeffs[:, j]), params, d)
+        for name, other in (("hb", hb), ("td", tdset)):
+            shared = np.isin(sset.ns, other.ns)
+            cols[f"dev_series_{name}"].append(
+                float(np.max(np.abs(sset.r[shared] - other.r))))
+        cols["defect_series"].append(sset.unitarity_defect)
+        cols["defect_hb"].append(hb.unitarity_defect)
+        cols["defect_td"].append(tdset.unitarity_defect)
+    return cols
+
+
+def outcome(fn, *args):
+    """What fn(*args) returns or raises, and every warning it gives, in
+    order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = fn(*args)
+        except (SingularSystemError, TruncationError) as err:
+            out = err
+    return out, [str(w.message) for w in caught]
+
+
+def fail_at(monkeypatch, deltas, faults):
+    """Make the tridiagonal solve fail at the rows `faults` names: "pivot"
+    raises a zero pivot, a number scales the solution by 1 + it."""
+    by_delta = {deltas[k]: fault for k, fault in faults.items()}
+    solve = oracles._solve_tridiagonal
+
+    def faulty(dl, d, du, b):
+        fault = by_delta.get(d[len(d) // 2].real)  # Delta at n = 0
+        if fault == "pivot":
+            raise SingularSystemError("tridiagonal solve met a zero pivot")
+        x = solve(dl, d, du, b)
+        return [z * (1.0 + fault) for z in x] if fault else x
+
+    monkeypatch.setattr(oracles, "_solve_tridiagonal", faulty)
+
+
+class TestCrossValidateBlocks:
+    """cross_validate runs the series and harmonic balance in blocks; the
+    report, the warnings and the first failure are those of a
+    detuning-by-detuning run. The pinned lists and messages were taken
+    from that run."""
+
+    @pytest.mark.parametrize("block_rows", [64, 3, 2])
+    @pytest.mark.parametrize("amp, freq", [
+        (5.0, 2.0), (10.0, 0.3), (0.0, 2.0), (30.0, 1.0)])
+    def test_report_equals_the_per_detuning_routes(
+        self, monkeypatch, amp, freq, block_rows
+    ):
+        params, deltas = normalized_params(amp, freq), np.linspace(-30, 30, 9)
+        expected = per_detuning_reference(params, deltas)
+        monkeypatch.setattr(oracles, "BLOCK_ROWS", block_rows)
+        report = cross_validate(params, deltas)
+        for name, col in expected.items():
+            assert getattr(report, name).tobytes() == np.array(col).tobytes()
+
+    @pytest.mark.parametrize("block_rows", [64, 3, 2])
+    @pytest.mark.parametrize("case, counts", [
+        # per detuning: each series window, harmonic balance, time domain
+        (OMEGA20, [22, 22, 8, 20, 20, 6, 18, 18, 4, 17, 17, 3, 15, 15, 1,
+                   13, 13, 12, 12]),
+        (OMEGA40, [58, 125, 125, 3, 53, 53, 28, 28, 18, 18]),
+    ], ids=["omega20", "omega40"])
+    def test_warnings_come_in_detuning_order(
+        self, monkeypatch, case, counts, block_rows
+    ):
+        params, deltas = case
+        expected = [NONPOSITIVE.format(c) for c in counts]
+        assert outcome(per_detuning_reference, params, deltas)[1] == expected
+        monkeypatch.setattr(oracles, "BLOCK_ROWS", block_rows)
+        report, caught = outcome(cross_validate, params, deltas)
+        assert isinstance(report, oracles.ValidationReport)
+        assert caught == expected
+
+    @pytest.mark.parametrize("block_rows", [64, 2])
+    @pytest.mark.parametrize("case, faults, message, counts", [
+        (OMEGA20, {3: "pivot", 5: 1e-6}, "tridiagonal solve met a zero pivot",
+         [22, 22, 8, 20, 20, 6, 18, 18, 4, 17]),
+        (OMEGA20, {4: 1e-6, 2: 3e-6},
+         "tridiagonal solve residual 3.000e-06 exceeds 1e-12",
+         [22, 22, 8, 20, 20, 6, 18]),
+        # row 0 converges at 2N, after row 1 at N fails
+        (OMEGA40, {1: 2e-6, 0: 1e-6},
+         "tridiagonal solve residual 1.000e-06 exceeds 1e-12", [58, 125]),
+        (CAPPED, {}, "unitarity defect 5.733e-04 still above tol=1e-11 at "
+         "sideband_max=512", [372, 372, 322, 322, 272, 313]),
+        (CAPPED, {10: 1e-6}, "unitarity defect 5.733e-04 still above "
+         "tol=1e-11 at sideband_max=512", [372, 372, 322, 322, 272, 313]),
+        (CAPPED, {1: 1e-6}, "tridiagonal solve residual 1.000e-06 exceeds "
+         "1e-12", [372, 372, 322]),
+    ], ids=["pivot", "residual", "across-windows", "truncation",
+            "truncation-first", "residual-before-truncation"])
+    def test_first_failing_detuning_raises(
+        self, monkeypatch, case, faults, message, counts, block_rows
+    ):
+        params, deltas = case
+        monkeypatch.setattr(oracles, "time_domain_excitation",
+                            flat_time_domain)
+        fail_at(monkeypatch, deltas, faults)
+        expected = [NONPOSITIVE.format(c) for c in counts]
+        err, caught = outcome(per_detuning_reference, params, deltas)
+        assert (str(err), caught) == (message, expected)
+        monkeypatch.setattr(oracles, "BLOCK_ROWS", block_rows)
+        err, caught = outcome(cross_validate, params, deltas)
+        assert isinstance(err, SingularSystemError | TruncationError)
+        assert (str(err), caught) == (message, expected)
+        if isinstance(err, TruncationError):
+            assert err.achieved_defect == 0.0005732856780152895
+
+    def test_blocks_stay_within_block_rows(self, monkeypatch):
+        shapes = record_block_shapes(monkeypatch)
+        monkeypatch.setattr(oracles, "time_domain_excitation",
+                            flat_time_domain)
+        report = cross_validate(normalized_params(30.0, 1.0),
+                                np.linspace(-30.0, 30.0, 1000))
+        assert max(rows for _, rows, _ in shapes) == scattering.BLOCK_ROWS
+        first = [rows for name, rows, n in shapes
+                 if name == "_series_block" and n == 67]
+        assert sum(first) == 1000 and len(first) == 16  # ceil(1000 / 64)
+        assert {n for _, _, n in shapes} == {67, 134}
+        assert report.max_dev_series_hb < 1e-6
+
+
+class TestExcitationAssembly:
+    """amplitudes_from_excitation assembles any orders ns, including an
+    asymmetric window and one without n = 0, as one row assembled alone."""
+
+    @pytest.mark.parametrize("ns", [
+        [-1, 0, 1, 2], [1, 2, 3], [-3, -2], [0], [2, 0, -1], [0, 0, 1]])
+    def test_any_orders(self, ns):
+        params = raw_params(3.0, 1.5, 2.0)
+        rng = np.random.default_rng(len(ns))
+        coeffs = rng.normal(size=len(ns)) + 1j * rng.normal(size=len(ns))
+        ns = np.array(ns)
+        for delta in (0.3, -4.0, np.float64(1.7), 2):
+            out, caught = outcome(amplitudes_from_excitation,
+                                  ExcitationSpectrum(ns=ns, coeffs=coeffs),
+                                  params, delta)
+            r = params.coupling * coeffs / (1j * params.group_velocity)
+            ref = assemble_row(params, delta, ns, r)
+            same_bits(out, ref)
+            count = int(np.sum(ref.omega <= 0))
+            assert caught == ([NONPOSITIVE.format(count)] if count else [])

@@ -21,6 +21,7 @@ from modscatter import (
     static_limit_amplitudes,
 )
 from modscatter import scattering
+from conftest import same_bits, series_row
 
 
 def lorentzian_r(delta, gamma=1.0):
@@ -226,41 +227,34 @@ class TestTruncationControl:
         assert len(out.ns) == 2 * out.ns[-1] + 1
 
 
-def same_bits(a, b):
-    """a and b hold bitwise identical amplitudes, totals and truncation."""
-    for name in ("ns", "omega", "r", "t"):
-        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
-    for name in ("total_T", "total_R", "unitarity_defect"):
-        bits = [np.float64(getattr(s, name)).tobytes() for s in (a, b)]
-        assert bits[0] == bits[1], name
-
-
 class TestOneSeriesEvaluationPerPoint:
-    """evaluate_sidebands returns the set auto_truncation converged on."""
+    """evaluate_sidebands returns the set auto_truncation converged on, one
+    series evaluation per window."""
 
     @staticmethod
     def count_series_calls(monkeypatch, unconverged=0):
         calls = []
-        series = scattering.reflection_amplitudes
+        block = scattering._series_block
 
-        def counted(params, detuning, sideband_max, **kwargs):
-            sset = series(params, detuning, sideband_max, **kwargs)
-            calls.append(sideband_max)
+        def counted(params, detunings, N, **kwargs):
+            blk = block(params, detunings, N, **kwargs)
+            calls.append(N)
             if len(calls) <= unconverged:
                 # a defect above any tolerance makes the truncation double
-                sset = dataclasses.replace(sset, unitarity_defect=1.0)
-            return sset
+                blk = dataclasses.replace(
+                    blk, unitarity_defect=np.ones(len(detunings)))
+            return blk
 
-        monkeypatch.setattr(scattering, "reflection_amplitudes", counted)
-        return calls, series
+        monkeypatch.setattr(scattering, "_series_block", counted)
+        return calls
 
     @pytest.mark.parametrize("amp, delta", [(5.0, 0.0), (5.0, 1.3), (50.0, 0.0)])
     def test_first_truncation_converges_in_one_call(self, monkeypatch, amp, delta):
         params = normalized_params(amp, 2.0)
-        calls, series = self.count_series_calls(monkeypatch)
+        calls = self.count_series_calls(monkeypatch)
         sset = evaluate_sidebands(params, delta)
         assert len(calls) == 1
-        same_bits(sset, series(params, delta, int(sset.ns[-1])))
+        same_bits(sset, series_row(params, delta, int(sset.ns[-1])))
 
     @pytest.mark.parametrize("amp, freq, delta, forced, sizes", [
         # the resonant term l = Delta/omega = -30 shifts the comb by 30
@@ -273,11 +267,11 @@ class TestOneSeriesEvaluationPerPoint:
         self, monkeypatch, amp, freq, delta, forced, sizes
     ):
         params = normalized_params(amp, freq)
-        calls, series = self.count_series_calls(monkeypatch, unconverged=forced)
+        calls = self.count_series_calls(monkeypatch, unconverged=forced)
         sset = evaluate_sidebands(params, delta)
         assert calls == sizes  # doublings + 1 evaluations
         assert sset.ns[-1] == sizes[-1]
-        same_bits(sset, series(params, delta, int(sset.ns[-1])))
+        same_bits(sset, series_row(params, delta, int(sset.ns[-1])))
 
 
 @settings(max_examples=40, deadline=None)
