@@ -365,8 +365,7 @@ def cmd_sweep(args) -> int:
          bool(ds.flags[i]))
         for i in range(spec.points)
     ]
-    defects = ds.columns.get("unitarity_defect")
-    max_defect = float(np.max(defects)) if defects is not None else float("nan")
+    max_defect = float(np.max(ds.columns["unitarity_defect"]))
     n_flagged = int(np.sum(ds.flags))
     summary = (
         f"{spec.points} points, max unitarity defect "

@@ -4,7 +4,7 @@ CSV layout: a `# key=value` metadata block, one header row, then data rows.
 Floats are written in fixed scientific notation at a configurable precision
 so identical runs produce identical bytes; complex-valued columns are split
 into re_/im_ pairs by the callers. JSON mirrors the same content as a
-`meta` object plus a `rows` array.
+`meta` object plus a `rows` array, with null for a NaN or infinite cell.
 """
 
 from __future__ import annotations
@@ -58,7 +58,10 @@ def render_json(
         if isinstance(v, bool):
             return v
         if isinstance(v, float):
-            # round through the fixed formatter so CSV and JSON agree
+            # round through the fixed formatter so CSV and JSON agree; JSON
+            # has no NaN or infinity, so such a cell is null
+            if not math.isfinite(v):
+                return None
             return float(format_float(v, precision))
         return v
 
@@ -68,7 +71,8 @@ def render_json(
             {name: jsonable(v) for name, v in zip(header, row)} for row in rows
         ],
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    return text + "\n"
 
 
 def parse_range(text: str) -> tuple[float, float, int]:

@@ -56,17 +56,10 @@ class NotStaticError(ScatterError):
 
 
 class SingularSystemError(ScatterError):
-    """Linear system has a singular pivot (only possible at zero coupling).
-
-    `row` is the index of the failing system in a block of them, 0 for one.
-    """
+    """Linear system has a singular pivot (only possible at zero coupling)."""
 
     code = "singular-system"
     exit_code = EXIT_QUALITY
-
-    def __init__(self, message: str, row: int = 0):
-        super().__init__(message)
-        self.row = row
 
 
 class ResolutionError(ScatterError):

@@ -32,7 +32,7 @@ from .scattering import (
     _assemble_block,
     _converge_block,
     _one_row,
-    _warn_nonpositive,
+    _replay,
     evaluate_sidebands,  # noqa: F401 (unused; perfbench/tracing.py wraps it)
 )
 
@@ -138,41 +138,36 @@ def _solve_tridiagonal(dl, d, du, b) -> list[complex]:
 
 def _hb_excitations(
     params: EmitterParams, detunings: np.ndarray, order: int
-) -> np.ndarray:
-    """The excitation harmonics e_n of each detuning, as rows.
+) -> tuple[np.ndarray, list]:
+    """The excitation harmonics e_n of each detuning, as rows, and per row
+    its SingularSystemError (zero coupling, zero pivot or a residual above
+    RESIDUAL_TOL) or None; a failed row is not usable.
 
     Each row is solved alone by _solve_tridiagonal; the residual check runs
-    on the block. Raises SingularSystemError for the first failing row, in
-    row order, with that row as its `row`.
+    on the block.
     """
     if params.gamma == 0:
-        raise SingularSystemError("zero coupling makes the system singular")
+        e = np.full((len(detunings), 2 * order + 1), np.nan, complex)
+        return e, [SingularSystemError("zero coupling makes the system "
+                                       "singular") for _ in detunings]
     sys_ = build_harmonic_balance(params, detunings, order)
     off = [complex(sys_.off_diagonal)] * (2 * order)
     rhs = sys_.rhs.tolist()
     e = np.full(sys_.diagonal.shape, np.nan, complex)
-    solved, failure = 0, None
-    for diag in sys_.diagonal.tolist():
+    errors = [None] * len(detunings)
+    for k, diag in enumerate(sys_.diagonal.tolist()):
         try:
-            e[solved] = _solve_tridiagonal(off, diag, off, rhs)
+            e[k] = _solve_tridiagonal(off, diag, off, rhs)
         except SingularSystemError as err:
-            failure = err
-            break
-        solved += 1
+            errors[k] = err
     resid = (np.max(np.abs(sys_.matvec(e) - sys_.rhs), axis=1)
              / np.max(np.abs(sys_.rhs)))
-    bad = np.flatnonzero(~(resid[:solved] < RESIDUAL_TOL))
-    if len(bad):
-        failure = SingularSystemError(
-            f"tridiagonal solve residual {resid[bad[0]]:.3e} exceeds "
-            f"{RESIDUAL_TOL:g}",
-            row=int(bad[0]),
+    for k in np.flatnonzero(~(resid < RESIDUAL_TOL)).tolist():
+        errors[k] = errors[k] or SingularSystemError(
+            f"tridiagonal solve residual {resid[k]:.3e} exceeds "
+            f"{RESIDUAL_TOL:g}"
         )
-    elif failure is not None:
-        failure.row = solved
-    if failure is not None:
-        raise failure
-    return e
+    return e, errors
 
 
 def harmonic_balance_solve(
@@ -180,37 +175,37 @@ def harmonic_balance_solve(
 ) -> ExcitationSpectrum:
     """Solve the tridiagonal system with partial pivoting and verify the
     residual."""
-    e = _hb_excitations(params, np.array([detuning], float), order)[0]
-    return ExcitationSpectrum(ns=np.arange(-order, order + 1), coeffs=e)
+    e, errors = _hb_excitations(params, np.array([detuning], float), order)
+    _replay([[]], errors)
+    return ExcitationSpectrum(ns=np.arange(-order, order + 1), coeffs=e[0])
 
 
 def _harmonic_balance_block(
     params: EmitterParams, detunings: np.ndarray, order: int
-) -> SidebandBlock:
+) -> tuple[SidebandBlock, list]:
     """The harmonic-balance amplitudes r_n = V e_n/(i v_g) and totals of
-    each detuning at one order, as a block (see _hb_excitations)."""
-    e = _hb_excitations(params, detunings, order)
+    each detuning at one order, as a block, and the rows' errors (see
+    _hb_excitations)."""
+    e, errors = _hb_excitations(params, detunings, order)
     ns = np.arange(-order, order + 1)
-    return _assemble_block(params, detunings, ns, _amplitudes(params, e))
+    return _assemble_block(params, detunings, ns, _amplitudes(params, e)), errors
 
 
 def _harmonic_balance_windows(
     params: EmitterParams, detunings: np.ndarray, windows: list
-) -> tuple[list, int, SingularSystemError | None]:
+) -> tuple[list, list]:
     """Harmonic balance on each converged window of _converge_block, at the
-    window's N: a block per window (None where it failed), the first
-    failing row in row order (len(detunings) if none) and its error."""
-    hbs, stop, failure = [], len(detunings), None
+    window's N: a block per window, and per row of detunings its error
+    (None for a row in no window)."""
+    hbs, errors = [], [None] * len(detunings)
     for rows, series in windows:
-        try:
-            hbs.append(_harmonic_balance_block(
-                params, detunings[rows], int(series.ns[-1])
-            ))
-        except SingularSystemError as err:
-            hbs.append(None)
-            if rows[err.row] < stop:
-                stop, failure = int(rows[err.row]), err
-    return hbs, stop, failure
+        hb, window_errors = _harmonic_balance_block(
+            params, detunings[rows], int(series.ns[-1])
+        )
+        hbs.append(hb)
+        for k, err in zip(rows.tolist(), window_errors):
+            errors[k] = err
+    return hbs, errors
 
 
 @dataclass(frozen=True)
@@ -404,8 +399,8 @@ def cross_validate(
     The comparison window is the time-domain sideband range (the narrowest);
     outside it the other two routes have only exponentially small content.
     The series and harmonic balance run in blocks of up to BLOCK_ROWS
-    detunings that share one dict of series tables; the warnings and the
-    first failure come in detuning order.
+    detunings that share one dict of series tables; each block replays its
+    rows' warnings and errors in detuning order (_replay).
     """
     deltas = np.atleast_1d(np.asarray(detuning, float))
     n_td = 12 if params.mod_amp > 0 else 4
@@ -418,19 +413,15 @@ def cross_validate(
     tables: dict = {}
     for lo in range(0, len(deltas), BLOCK_ROWS):
         block = deltas[lo:lo + BLOCK_ROWS]
-        windows, (failed, error), counts = _converge_block(
-            params, block, 1e-11, tables
-        )
-        hbs, stop, failure = _harmonic_balance_windows(params, block, windows)
-        if len(failed) and failed[0] < stop:
-            stop, failure = failed[0], error
-        for k in range(min(stop + 1, len(block))):
-            # each series window, then the harmonic-balance set on the last
-            # of them, then the time-domain set
-            tail = [counts[k][-1], td.nonpositive[lo + k]] if k < stop else []
-            _warn_nonpositive(counts[k] + tail)
-        if failure is not None:
-            raise failure
+        windows, counts, errors = _converge_block(params, block, 1e-11, tables)
+        hbs, hb_errors = _harmonic_balance_windows(params, block, windows)
+        errors = [err or hb_err for err, hb_err in zip(errors, hb_errors)]
+        for k, err in enumerate(errors):
+            if err is None:
+                # each series window, then the harmonic-balance set on the
+                # last of them, then the time-domain set
+                counts[k] += [counts[k][-1], td.nonpositive[lo + k]]
+        _replay(counts, errors)
         for (rows, series), hb in zip(windows, hbs):
             N, at = int(series.ns[-1]), lo + rows
             # the series window [-N, N] holds the time-domain one

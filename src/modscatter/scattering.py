@@ -151,16 +151,21 @@ def _series_block(
     return _assemble_block(params, detunings, np.arange(-N, N + 1), r)
 
 
-def _warn_nonpositive(counts) -> None:
-    """One warning per nonzero entry of `counts`, the numbers of sidebands
-    at non-positive frequency of successive evaluations."""
-    for count in filter(None, counts):
-        warnings.warn(
-            f"{count} sideband(s) fall at non-positive frequency; they are "
-            "kept in the totals but the linear-dispersion model is not "
-            "physical there",
-            stacklevel=caller_stacklevel(),
-        )
+def _replay(counts, errors) -> None:
+    """Replay the per-row outcomes of a block in row order: row k warns
+    once per nonzero entry of counts[k], the numbers of sidebands at
+    non-positive frequency of its successive evaluations, then raises
+    errors[k] if it is not None."""
+    for row_counts, error in zip(counts, errors):
+        for count in filter(None, row_counts):
+            warnings.warn(
+                f"{count} sideband(s) fall at non-positive frequency; they "
+                "are kept in the totals but the linear-dispersion model is "
+                "not physical there",
+                stacklevel=caller_stacklevel(),
+            )
+        if error is not None:
+            raise error
 
 
 def _assemble_block(
@@ -171,7 +176,7 @@ def _assemble_block(
     n = 0, if any.
 
     The rows' sidebands at non-positive frequency are counted, not warned
-    about: the caller warns (_warn_nonpositive) in its own row order.
+    about: the caller warns (_replay) in its own row order.
     """
     t = r.copy()
     zero = (ns == 0).nonzero()[0]
@@ -195,7 +200,7 @@ def _assemble_block(
 def _one_row(blk: SidebandBlock) -> SidebandSet:
     """The set of a one-row block, after its non-positive-frequency
     warning."""
-    _warn_nonpositive(blk.nonpositive)
+    _replay([blk.nonpositive.tolist()], [None])
     return blk.row(0)
 
 
@@ -256,19 +261,20 @@ def _truncation_orders(params: EmitterParams):
 
 def _converge_block(
     params: EmitterParams, detunings: np.ndarray, tol: float, tables: dict
-) -> tuple[list, tuple, list]:
+) -> tuple[list, list, list]:
     """Auto-truncation of a block of detunings at one modulation: every row
     goes through the series at the first window of _truncation_orders, and
     the rows whose unitarity defect is not below tol go on at the next.
 
-    Returns the converged windows as (rows, block) pairs in window order;
-    the rows still failing at SIDEBAND_CAP with the TruncationError of the
-    first of them (None if none failed); and per row the number of
-    sidebands at non-positive frequency of each window it went through.
+    Returns the converged windows as (rows, block) pairs in window order,
+    and per row the number of sidebands at non-positive frequency of each
+    window it went through and its error: a TruncationError with its own
+    least defect if it still fails at SIDEBAND_CAP, else None.
     """
     if not (tol > 0):
         raise ValueError("tol must be positive")
     windows, counts = [], [[] for _ in detunings]
+    errors = [None] * len(detunings)
     pending = np.arange(len(detunings))
     best = np.full(len(detunings), np.inf)
     for n in _truncation_orders(params):
@@ -278,18 +284,19 @@ def _converge_block(
         ok = blk.unitarity_defect < tol
         if ok.all():
             windows.append((pending, blk))
-            return windows, ([], None), counts
+            return windows, counts, errors
         if ok.any():
             windows.append((pending[ok], blk.take(ok)))
         pending = pending[~ok]
         best[pending] = np.fmin(best[pending], blk.unitarity_defect[~ok])
-    least = float(best[pending[0]])
-    error = TruncationError(
-        f"unitarity defect {least:.3e} still above tol={tol:g} "
-        f"at sideband_max={n}",
-        achieved_defect=least,
-    )
-    return windows, (pending.tolist(), error), counts
+    for k in pending.tolist():
+        least = float(best[k])
+        errors[k] = TruncationError(
+            f"unitarity defect {least:.3e} still above tol={tol:g} "
+            f"at sideband_max={n}",
+            achieved_defect=least,
+        )
+    return windows, counts, errors
 
 
 def auto_truncation(
@@ -300,12 +307,10 @@ def auto_truncation(
     TruncationError. The converged set is returned as evaluated; its
     truncation is N = ns[-1]. This is _converge_block on one detuning.
     """
-    windows, (_, error), counts = _converge_block(
+    windows, counts, errors = _converge_block(
         params, np.array([detuning], float), tol, {}
     )
-    _warn_nonpositive(counts[0])
-    if error is not None:
-        raise error
+    _replay(counts, errors)
     return windows[0][1].row(0)
 
 

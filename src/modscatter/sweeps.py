@@ -20,7 +20,7 @@ from .scattering import (
     BLOCK_ROWS,
     TRUNCATION_TOL,
     _converge_block,
-    _warn_nonpositive,
+    _replay,
     evaluate_sidebands,
 )
 # Not called here; kept in this namespace because perfbench/tracing.py wraps
@@ -120,8 +120,8 @@ def _eval_block(
 
     The rows are auto-truncated together (_converge_block); rows still
     failing at the cap keep their NaNs and flags. Harmonic balance runs on
-    the converged rows of each window. Warnings come in row order, and a
-    harmonic-balance failure raises for the first failing row.
+    the converged rows of each window. The rows' warnings and
+    harmonic-balance errors are replayed in row order (_replay).
     """
     method = ds.spec.method
     pairs = [ds.spec.params_at(v) for v in values]
@@ -134,20 +134,16 @@ def _eval_block(
         hbs = [None] * len(pairs)
     else:
         deltas = np.array([delta for _, delta in pairs])
-        windows, (failed, _), counts = _converge_block(
+        windows, counts, capped = _converge_block(
             params, deltas, TRUNCATION_TOL, tables
         )
-        hbs, stop, failure = [None] * len(windows), len(pairs), None
+        hbs, errors = [None] * len(windows), [None] * len(pairs)
         if method != "series":
-            hbs, stop, failure = _harmonic_balance_windows(
-                params, deltas, windows
-            )
-        for k in range(min(stop + 1, len(pairs))):
-            # each series window, then the HB set on the last of them
-            solved = method != "series" and k not in failed and k < stop
-            _warn_nonpositive(counts[k] + (counts[k][-1:] if solved else []))
-        if failure is not None:
-            raise failure
+            hbs, errors = _harmonic_balance_windows(params, deltas, windows)
+            for k, err in enumerate(errors):
+                if capped[k] is None and err is None:
+                    counts[k].append(counts[k][-1])  # the HB set's count
+        _replay(counts, errors)
     for (rows, used), hb in zip(windows, hbs):
         at = lo + rows
         if hb is not None and method == "both":

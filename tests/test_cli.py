@@ -119,6 +119,28 @@ class TestSpectrumCommand:
                      "both", "--out", str(static)]) == 0
         assert "discrepancy" not in read_csv(static)[1]
 
+    @pytest.mark.parametrize("argv, cells", [
+        (["trap", "--cells", "1500", "--bandwidth", "0.1"],
+         ["release_fidelity", "released_probability"]),
+        (["spectrum", "--axis", "mod_freq", "--range", "0:2:3",
+          "--mod-amp-energy", "5", "--method", "both"], ["discrepancy"]),
+    ], ids=["trap", "static-row"])
+    def test_json_writes_nan_cells_as_null(self, argv, cells, tmp_path):
+        """JSON has no NaN token: a cell that is nan in the CSV is null in
+        the JSON, which a strict parser reads."""
+        def refuse(token):
+            raise ValueError(f"{token} is not JSON")
+
+        assert main(argv + ["--format", "json", "--out",
+                            str(tmp_path / "run.json")]) == 0
+        assert main(argv + ["--out", str(tmp_path / "run.csv")]) == 0
+        text = (tmp_path / "run.json").read_text()
+        row = json.loads(text, parse_constant=refuse)["rows"][0]
+        table = read_csv(tmp_path / "run.csv")[2]
+        for name in cells:
+            assert row[name] is None
+            assert np.isnan(table[name][0])
+
     def test_stamp_adds_a_timestamp_line(self, tmp_path):
         base = ["spectrum", "--axis", "detuning", "--range", "-1:1:3",
                 "--mod-amp-energy", "0", "--mod-freq", "0"]

@@ -44,6 +44,15 @@ class TestFormatting:
         assert payload["rows"] == [{"x": 0.1}]
         assert text.index('"a"') < text.index('"b"')
 
+    def test_json_writes_non_finite_floats_as_null(self):
+        row = (float("nan"), float("inf"), -float("inf"), 1.5)
+        text = render_json({}, ["a", "b", "c", "d"], [row])
+        assert "NaN" not in text and "Infinity" not in text
+        assert json.loads(text)["rows"] == [
+            {"a": None, "b": None, "c": None, "d": 1.5}]
+        assert render_csv({}, ["a"], [(float("nan"),)]).splitlines() == [
+            "a", "nan"]
+
     def test_csv_and_json_round_identically(self):
         value = 0.1234567890123456789
         csv_text = render_csv({}, ["v"], [(value,)], precision=6)

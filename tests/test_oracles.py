@@ -601,6 +601,35 @@ class TestCrossValidateBlocks:
         assert report.max_dev_series_hb < 1e-6
 
 
+class TestPerRowOutcomes:
+    """The block functions return one outcome per row; _replay warns and
+    raises them in row order."""
+
+    def test_harmonic_balance_block_returns_every_rows_error(
+        self, monkeypatch
+    ):
+        params, deltas = normalized_params(5.0, 2.0), np.linspace(-10, 10, 9)
+        clean, errors = oracles._harmonic_balance_block(params, deltas, 16)
+        assert errors == [None] * len(deltas)
+        fail_at(monkeypatch, deltas, {2: "pivot", 6: 1e-6})
+        blk, errors = oracles._harmonic_balance_block(params, deltas, 16)
+        assert [k for k, err in enumerate(errors) if err is not None] == [2, 6]
+        assert all(isinstance(errors[k], SingularSystemError) for k in (2, 6))
+        assert str(errors[2]) == "tridiagonal solve met a zero pivot"
+        assert str(errors[6]) == (
+            "tridiagonal solve residual 1.000e-06 exceeds 1e-12")
+        for k in set(range(len(deltas))) - {2, 6}:
+            same_bits(blk.row(k), clean.row(k))
+
+    def test_replay_warns_each_row_then_raises_its_error(self):
+        errors = [None, TruncationError("row 1"), SingularSystemError("row 2")]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(TruncationError, match="row 1"):
+                scattering._replay([[0, 3], [5, 0, 7], [9]], errors)
+        assert [str(w.message).split()[0] for w in caught] == ["3", "5", "7"]
+
+
 class TestExcitationAssembly:
     """amplitudes_from_excitation assembles any orders ns, including an
     asymmetric window and one without n = 0, as one row assembled alone."""

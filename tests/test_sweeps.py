@@ -379,6 +379,32 @@ class TestBlockRows:
         assert np.all(capped.flags == (capped.truncation_orders == -1))
         assert np.all(np.isnan(capped.columns["T"][capped.flags]))
 
+    def test_each_capped_row_carries_its_own_truncation_error(self):
+        """_converge_block gives every row still failing at the cap its own
+        TruncationError, with the least defect that row reached, and None
+        to every converged row."""
+        spec = detuning_spec(21, amp=400.0, start=-500.0, stop=500.0)
+        params, deltas = spec.params_at(0.0)[0], spec.axis_values()
+        windows, counts, errors = scattering._converge_block(
+            params, deltas, scattering.TRUNCATION_TOL, {})
+        converged = [k for rows, _ in windows for k in rows.tolist()]
+        capped = [k for k, err in enumerate(errors) if err is not None]
+        assert len(capped) >= 2
+        assert sorted(converged + capped) == list(range(len(deltas)))
+        orders = list(scattering._truncation_orders(params))
+        for k in capped:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                least = min(scattering.reflection_amplitudes(
+                    params, deltas[k], n).unitarity_defect for n in orders)
+            assert isinstance(errors[k], TruncationError)
+            assert errors[k].achieved_defect == least
+            assert str(errors[k]) == (
+                f"unitarity defect {least:.3e} still above tol=1e-10 at "
+                f"sideband_max={scattering.SIDEBAND_CAP}")
+            assert len(counts[k]) == len(orders)
+        assert len({errors[k].achieved_defect for k in capped}) > 1
+
     @pytest.mark.parametrize("method", ["series", "both"])
     def test_warnings_come_in_row_order(self, method):
         # Omega = 40 gamma: the low sidebands of most rows fall at or below
@@ -458,11 +484,13 @@ class TestBlockRows:
             same_bits(blk.row(k), ref)
             assert blk.nonpositive[k] == np.sum(ref.omega <= 0)
         assert len(set(blk.nonpositive.tolist())) > 2
+        hb, errors = oracles._harmonic_balance_block(params, deltas, 16)
         if coupling == 0:
-            with pytest.raises(SingularSystemError, match="zero coupling"):
-                oracles._harmonic_balance_block(params, deltas, 16)
+            assert all(isinstance(err, SingularSystemError) for err in errors)
+            assert [str(err) for err in errors] == (
+                ["zero coupling makes the system singular"] * len(deltas))
             return
-        hb = oracles._harmonic_balance_block(params, deltas, 16)
+        assert errors == [None] * len(deltas)
         for k, delta in enumerate(deltas):
             e = harmonic_balance_solve(params, delta, 16).coeffs
             r = params.coupling * e / (1j * params.group_velocity)
