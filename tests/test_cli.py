@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import modscatter
-from modscatter import cavity, cli
+from modscatter import bessel, cavity, cli, scattering
 from modscatter.cli import main
 
 
@@ -215,6 +215,47 @@ class TestExitCodes:
                 "--out", str(out),
             ])
         assert code == 2
+        _, _, table = read_csv(out)
+        assert np.all(table["flagged"] == 1.0)
+        assert np.all(np.isnan(table["T"]))
+
+
+class TestModulationIndexEdges:
+    """u = f*Omega/omega at the Bessel domain limit and past the window cap."""
+
+    SWEEP = ["spectrum", "--axis", "detuning", "--range=-1:1:3",
+             "--mod-freq", "1"]
+
+    def test_bessel_domain_limit_refused(self, capsys, monkeypatch):
+        def never_run(*args, **kwargs):
+            raise AssertionError("a refused argument reached the recurrence")
+
+        monkeypatch.setattr(bessel, "_miller_sequence", never_run)
+        monkeypatch.setattr(bessel, "_series_single", never_run)
+        with pytest.warns(UserWarning, match="not small"):
+            code = main(self.SWEEP + ["--mod-amp-energy", "1000"])
+        assert code == 64
+        err = capsys.readouterr().err
+        assert "error[out-of-range]" in err
+        assert "outside validated domain" in err
+
+    def test_past_the_cap_every_row_is_flagged(self, tmp_path, monkeypatch):
+        # u = 999 > SIDEBAND_CAP: the first window is the cap itself, and
+        # only its defect shows that no window converges
+        windows = []
+        series_block = scattering._series_block
+
+        def record(params, detunings, n, **kwargs):
+            windows.append(n)
+            return series_block(params, detunings, n, **kwargs)
+
+        monkeypatch.setattr(scattering, "_series_block", record)
+        out = tmp_path / "capped.csv"
+        with pytest.warns(UserWarning, match="not small"):
+            code = main(self.SWEEP + ["--mod-amp-energy", "999",
+                                      "--out", str(out)])
+        assert code == 2
+        assert windows == [scattering.SIDEBAND_CAP]
         _, _, table = read_csv(out)
         assert np.all(table["flagged"] == 1.0)
         assert np.all(np.isnan(table["T"]))
@@ -832,6 +873,8 @@ class TestOracleCommand:
     @pytest.mark.parametrize("argv, limit", [
         (["--cases", "5:0.001", "--delta-range", "-1:1:3"], "600"),
         (["--cases", "5:2", "--delta-range", "-50:50:300"], "2097152"),
+        # few detunings, but far detuning shortens the step
+        (["--cases", "5:2", "--delta-range=-300:300:101"], "2097152"),
     ])
     def test_unbounded_inputs_refused_before_running(
         self, argv, limit, capsys, monkeypatch
