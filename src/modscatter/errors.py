@@ -56,7 +56,8 @@ class NotStaticError(ScatterError):
 
 
 class SingularSystemError(ScatterError):
-    """Linear system has a singular pivot (only possible at zero coupling)."""
+    """Harmonic-balance system unusable: zero coupling makes it singular, or
+    its solution fails the residual check."""
 
     code = "singular-system"
     exit_code = EXIT_QUALITY

@@ -6,7 +6,8 @@ eliminated, leaving the linewidth gamma and the plane-wave drive):
     i de/dt = [Omega(1 + f cos(omega t)) - i gamma] e + V e^{-i omega_0 t}
 
 * harmonic balance: expand e(t) = sum_n e_n exp(-i omega_n t); the harmonics
-  couple into a tridiagonal linear system solved directly;
+  couple into a tridiagonal linear system, solved by two continued
+  fractions from its edges inward;
 * time domain: step the equation with classical 4th-order Runge-Kutta over
   one modulation period in the frame rotating at omega_0, started on its
   periodic orbit (Floquet shooting), then take the Fourier coefficients of
@@ -102,48 +103,39 @@ def build_harmonic_balance(
     )
 
 
-def _solve_tridiagonal(dl, d, du, b) -> list[complex]:
-    """Solve the tridiagonal system (subdiagonal dl, diagonal d and
-    superdiagonal du, sequences of Python complex) for the right side b.
+def _ladder_excitations(diagonal: np.ndarray, off: float,
+                        coupling: float) -> np.ndarray:
+    """The solution e_n, n in [-N, N], of the harmonic-balance ladder of each
+    row of `diagonal` (d_n on it, c = `off` beside it, V = `coupling` at
+    n = 0), by two continued fractions, each step run over all rows at once.
 
-    Gaussian elimination with partial pivoting, the LAPACK zgtsv algorithm
-    (Golub & Van Loan, Matrix Computations, sec. 4.3): the row with the
-    larger |re| + |im| in the pivot column becomes the pivot row. A swap
-    fills a second superdiagonal, so each row of U is (pivot, first and
-    second superdiagonal, right side), zero past the end, and no row is a
-    special case. Raises SingularSystemError on a zero pivot.
+    From the edges inward, rho_n = e_n/e_{n-1} = -c/(d_n + c rho_{n+1}) for
+    n = N..1 with rho_{N+1} = 0, and its mirror image sigma_{-n}; then e_0 =
+    V/(d_0 + c(rho_1 + sigma_{-1})), and e_{+-n} is e_0 times the ratios out
+    to +-n: the scalar matrix continued fraction (Risken, The Fokker-Planck
+    Equation, ch. 9). No pivot is needed: by induction from n = N,
+    Im(d_n + c rho_{n+1}) >= gamma, so no denominator is below gamma.
     """
-    rows = []
-    dk, uk, bk = d[0], du[0] if du else 0j, b[0]
-    for lo, d1, du1, b1 in zip(dl, d[1:], [*du[1:], 0j], b[1:]):
-        if abs(lo.real) + abs(lo.imag) > abs(dk.real) + abs(dk.imag):
-            m = dk / lo  # swap: row k+1 pivots, row k is eliminated
-            rows.append((lo, d1, du1, b1))
-            dk, uk, bk = uk - m * d1, -m * du1, bk - m * b1
-        else:
-            rows.append((dk, uk, 0j, bk))
-            if lo:
-                m = lo / dk
-                d1, b1 = d1 - m * uk, b1 - m * bk
-            dk, uk, bk = d1, du1, b1
-    rows.append((dk, 0j, 0j, bk))
-    if any(row[0] == 0 for row in rows):
-        raise SingularSystemError("tridiagonal solve met a zero pivot")
-    x, x1, x2 = [], 0j, 0j
-    for piv, u1, u2, y in reversed(rows):
-        x1, x2 = (y - u1 * x1 - u2 * x2) / piv, x1
-        x.append(x1)
-    return x[::-1]
+    N = diagonal.shape[-1] // 2
+    # both edges as one array: edges[..., n - 1] holds d_n and d_{-n}
+    edges = np.stack([diagonal[..., N + 1:], diagonal[..., N - 1::-1]])
+    ratios = np.empty(edges.shape, complex)
+    ratio = np.zeros(edges.shape[:-1], complex)
+    for k in range(N - 1, -1, -1):
+        ratio = ratios[..., k] = -off / (edges[..., k] + off * ratio)
+    e0 = coupling / (diagonal[..., N] + off * (ratio[0] + ratio[1]))
+    up, down = e0[..., None] * np.cumprod(ratios, axis=-1)
+    return np.concatenate([down[..., ::-1], e0[..., None], up], axis=-1)
 
 
 def _hb_excitations(
     params: EmitterParams, detunings: np.ndarray, order: int
 ) -> tuple[np.ndarray, list]:
     """The excitation harmonics e_n of each detuning, as rows, and per row
-    its SingularSystemError (zero coupling, zero pivot or a residual above
+    its SingularSystemError (zero coupling or a residual above
     RESIDUAL_TOL) or None; a failed row is not usable.
 
-    Each row is solved alone by _solve_tridiagonal; the residual check runs
+    One _ladder_excitations call solves the block; the residual check runs
     on the block.
     """
     if params.gamma == 0:
@@ -151,19 +143,12 @@ def _hb_excitations(
         return e, [SingularSystemError("zero coupling makes the system "
                                        "singular") for _ in detunings]
     sys_ = build_harmonic_balance(params, detunings, order)
-    off = [complex(sys_.off_diagonal)] * (2 * order)
-    rhs = sys_.rhs.tolist()
-    e = np.full(sys_.diagonal.shape, np.nan, complex)
-    errors = [None] * len(detunings)
-    for k, diag in enumerate(sys_.diagonal.tolist()):
-        try:
-            e[k] = _solve_tridiagonal(off, diag, off, rhs)
-        except SingularSystemError as err:
-            errors[k] = err
+    e = _ladder_excitations(sys_.diagonal, sys_.off_diagonal, params.coupling)
     resid = (np.max(np.abs(sys_.matvec(e) - sys_.rhs), axis=1)
              / np.max(np.abs(sys_.rhs)))
+    errors = [None] * len(detunings)
     for k in np.flatnonzero(~(resid < RESIDUAL_TOL)).tolist():
-        errors[k] = errors[k] or SingularSystemError(
+        errors[k] = SingularSystemError(
             f"tridiagonal solve residual {resid[k]:.3e} exceeds "
             f"{RESIDUAL_TOL:g}"
         )
@@ -173,8 +158,8 @@ def _hb_excitations(
 def harmonic_balance_solve(
     params: EmitterParams, detuning: float, order: int
 ) -> ExcitationSpectrum:
-    """Solve the tridiagonal system with partial pivoting and verify the
-    residual."""
+    """Solve the tridiagonal system by its two continued fractions
+    (_ladder_excitations) and verify the residual."""
     e, errors = _hb_excitations(params, np.array([detuning], float), order)
     _replay([[]], errors)
     return ExcitationSpectrum(ns=np.arange(-order, order + 1), coeffs=e[0])

@@ -19,9 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .bessel import bessel_j_sequence
+from .bessel import DOMAIN_LIMIT, bessel_j_sequence
 from .errors import (
     NotStaticError,
+    OutOfRangeError,
     StaticLimitError,
     TruncationError,
     caller_stacklevel,
@@ -88,13 +89,22 @@ class SidebandBlock:
 
 
 def modulation_index(params: EmitterParams) -> float:
-    """u = f * Omega / omega, the Bessel argument of the closed forms."""
+    """u = f * Omega / omega, the Bessel argument of the closed forms.
+
+    Refuses with OutOfRangeError when u overflows to infinity.
+    """
     if params.mod_freq == 0:
         raise StaticLimitError(
             "modulation index undefined at mod_freq=0; "
             "use static_limit_amplitudes"
         )
-    return params.mod_amp * params.omega_a / params.mod_freq
+    u = float(params.mod_amp * params.omega_a) / float(params.mod_freq)
+    if not np.isfinite(u):
+        raise OutOfRangeError(
+            f"modulation index u = f*Omega/omega = {u!r} outside validated "
+            f"domain |u| < {DOMAIN_LIMIT:g}"
+        )
+    return u
 
 
 def _bessel_window(u: float, k_max: int) -> np.ndarray:

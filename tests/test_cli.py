@@ -239,6 +239,20 @@ class TestModulationIndexEdges:
         assert "error[out-of-range]" in err
         assert "outside validated domain" in err
 
+    @pytest.mark.parametrize("argv", [
+        SWEEP[:4] + ["--mod-amp-energy", "0.5", "--mod-freq", "5e-324"],
+        SWEEP[:4] + ["--mod-amp-energy", "0.5", "--mod-freq", "5e-324",
+                     "--method", "harmonic_balance"],
+        ["spectrum", "--axis", "mod_freq", "--range=0:1e-320:3",
+         "--mod-amp-energy", "1"],
+    ], ids=["series", "harmonic-balance", "mod-freq-axis"])
+    def test_overflowing_index_refused(self, argv, capsys):
+        # f*Omega/omega overflows to inf, short of any window to try
+        assert main(argv) == 64
+        err = capsys.readouterr().err
+        assert "error[out-of-range]: modulation index u = f*Omega/omega = " \
+            "inf outside validated domain |u| < 1000" in err
+
     def test_past_the_cap_every_row_is_flagged(self, tmp_path, monkeypatch):
         # u = 999 > SIDEBAND_CAP: the first window is the cap itself, and
         # only its defect shows that no window converges

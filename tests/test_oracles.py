@@ -128,52 +128,49 @@ class TestHarmonicBalanceSolve:
         assert np.max(np.abs(hb_set.r[n : 3 * n + 1] - sset.r)) < 1e-8
 
 
-def dense(dl, d, du):
-    return np.diag(d) + np.diag(dl, -1) + np.diag(du, 1)
-
-
-def assert_solves(dl, d, du, b):
-    """The pivoted solve against numpy's dense LU: a scaled residual below
-    1e-13, and agreement with the dense solution to within the condition
-    number times 1e-13."""
-    a = dense(dl, d, du)
-    x = np.array(oracles._solve_tridiagonal(dl.tolist(), d.tolist(),
-                                            du.tolist(), b.tolist()))
-    ref = np.linalg.solve(a, b)
-    scale = np.linalg.norm(a, np.inf) * np.max(np.abs(x)) + np.max(np.abs(b))
-    assert np.max(np.abs(a @ x - b)) < 1e-13 * scale
-    bound = 1e-13 * np.linalg.cond(a, np.inf) * np.max(np.abs(ref))
-    assert np.max(np.abs(x - ref)) < bound
-
-
-def random_complex(rng, n):
-    return rng.normal(size=n) + 1j * rng.normal(size=n)
+def assert_solves(params, deltas, order):
+    """The continued-fraction solve of every row against numpy's dense LU
+    of that row's system: a scaled residual below 1e-13, and agreement
+    with the dense solution to within the condition number times 1e-13."""
+    sys_ = build_harmonic_balance(params, deltas, order)
+    e = oracles._ladder_excitations(sys_.diagonal, sys_.off_diagonal,
+                                    params.coupling)
+    off = np.full(2 * order, sys_.off_diagonal)
+    for d, x in zip(sys_.diagonal, e):
+        a = np.diag(d) + np.diag(off, -1) + np.diag(off, 1)
+        ref = np.linalg.solve(a, sys_.rhs)
+        scale = (np.linalg.norm(a, np.inf) * np.max(np.abs(x))
+                 + np.max(np.abs(sys_.rhs)))
+        assert np.max(np.abs(a @ x - sys_.rhs)) < 1e-13 * scale
+        bound = 1e-13 * np.linalg.cond(a, np.inf) * np.max(np.abs(ref))
+        assert np.max(np.abs(x - ref)) < bound
 
 
 class TestTridiagonalSolve:
-    @pytest.mark.parametrize("n", [1, 2, 3, 5, 50])
+    """_ladder_excitations, the two continued fractions, on harmonic-balance
+    ladders of order N: seeded random (f*Omega, omega) with random
+    detunings and the near-resonant rows Delta = -n*omega, where d_n is
+    i*gamma alone."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 43, 50, 512])
     def test_matches_dense_solve_on_random_systems(self, n):
         rng = np.random.default_rng(n)
-        for _ in range(20):
-            dl, du = random_complex(rng, n - 1), random_complex(rng, n - 1)
-            d, b = random_complex(rng, n), random_complex(rng, n)
-            assert np.all(dl != 0) and np.all(du != 0) and b[-1] != 0
-            assert_solves(dl, d, du, b)
+        for _ in range(1 if n > 100 else 4):
+            amp, freq = rng.uniform(0.0, 30.0), rng.uniform(0.1, 20.0)
+            resonant = -np.arange(-min(n, 5), min(n, 5) + 1) * freq
+            deltas = np.concatenate([rng.uniform(-10.0, 10.0, 3), resonant])
+            if n > 100:
+                deltas = deltas[[0, 1, 3, 8]]
+            assert_solves(normalized_params(amp, freq), deltas, n)
 
-    def test_zero_diagonal_needs_pivoting(self):
-        # nonsingular through its off-diagonals; elimination without row
-        # swaps divides by the zero at d[0]
-        d = np.array([0.0, 2.0 - 1.0j, 0.0, 1.0j, 1.5])
-        dl = np.array([1.0 + 0.5j, -2.0, 0.5j, 3.0])
-        du = np.array([2.0j, 1.0 - 1.0j, -1.5, 0.25 + 1.0j])
-        b = np.array([1.0, -1.0j, 2.0, 0.5 + 0.5j, -3.0])
-        assert abs(np.linalg.det(dense(dl, d, du))) > 1e-3
-        assert_solves(dl, d, du, b)
-
-    def test_zero_pivot_is_singular(self):
-        with pytest.raises(SingularSystemError):
-            oracles._solve_tridiagonal([1 + 0j], [1 + 0j, 1 + 0j],
-                                       [1 + 0j], [1 + 0j, 2 + 0j])
+    def test_small_linewidth_in_raw_units(self):
+        # gamma = V^2/v_g = 2.5e-3 against f*Omega = 4 and omega = 0.5
+        params = EmitterParams(omega_a=40.0, mod_amp=0.1, mod_freq=0.5,
+                               coupling=0.05, group_velocity=1.0)
+        assert params.gamma < 3e-3
+        deltas = np.concatenate([np.linspace(-6.0, 6.0, 7),
+                                 -np.arange(-5, 6) * params.mod_freq])
+        assert_solves(params, deltas, 40)
 
 
 class TestTimeDomain:
@@ -500,19 +497,20 @@ def outcome(fn, *args):
 
 
 def fail_at(monkeypatch, deltas, faults):
-    """Make the tridiagonal solve fail at the rows `faults` names: "pivot"
-    raises a zero pivot, a number scales the solution by 1 + it."""
+    """Make the harmonic-balance solve fail at the rows `faults` names: it
+    scales the solution of each by 1 + its fault."""
     by_delta = {deltas[k]: fault for k, fault in faults.items()}
-    solve = oracles._solve_tridiagonal
+    solve = oracles._ladder_excitations
 
-    def faulty(dl, d, du, b):
-        fault = by_delta.get(d[len(d) // 2].real)  # Delta at n = 0
-        if fault == "pivot":
-            raise SingularSystemError("tridiagonal solve met a zero pivot")
-        x = solve(dl, d, du, b)
-        return [z * (1.0 + fault) for z in x] if fault else x
+    def faulty(diagonal, off, coupling):
+        e = solve(diagonal, off, coupling)
+        for row, d in zip(e, diagonal):
+            fault = by_delta.get(d[len(d) // 2].real)  # Delta at n = 0
+            if fault:
+                row *= 1.0 + fault
+        return e
 
-    monkeypatch.setattr(oracles, "_solve_tridiagonal", faulty)
+    monkeypatch.setattr(oracles, "_ladder_excitations", faulty)
 
 
 class TestCrossValidateBlocks:
@@ -554,7 +552,8 @@ class TestCrossValidateBlocks:
 
     @pytest.mark.parametrize("block_rows", [64, 2])
     @pytest.mark.parametrize("case, faults, message, counts", [
-        (OMEGA20, {3: "pivot", 5: 1e-6}, "tridiagonal solve met a zero pivot",
+        (OMEGA20, {3: 2e-6, 5: 1e-6},
+         "tridiagonal solve residual 2.000e-06 exceeds 1e-12",
          [22, 22, 8, 20, 20, 6, 18, 18, 4, 17]),
         (OMEGA20, {4: 1e-6, 2: 3e-6},
          "tridiagonal solve residual 3.000e-06 exceeds 1e-12",
@@ -568,7 +567,7 @@ class TestCrossValidateBlocks:
          "tol=1e-11 at sideband_max=512", [372, 372, 322, 322, 272, 313]),
         (CAPPED, {1: 1e-6}, "tridiagonal solve residual 1.000e-06 exceeds "
          "1e-12", [372, 372, 322]),
-    ], ids=["pivot", "residual", "across-windows", "truncation",
+    ], ids=["residual-pair", "residual", "across-windows", "truncation",
             "truncation-first", "residual-before-truncation"])
     def test_first_failing_detuning_raises(
         self, monkeypatch, case, faults, message, counts, block_rows
@@ -611,11 +610,12 @@ class TestPerRowOutcomes:
         params, deltas = normalized_params(5.0, 2.0), np.linspace(-10, 10, 9)
         clean, errors = oracles._harmonic_balance_block(params, deltas, 16)
         assert errors == [None] * len(deltas)
-        fail_at(monkeypatch, deltas, {2: "pivot", 6: 1e-6})
+        fail_at(monkeypatch, deltas, {2: 2e-6, 6: 1e-6})
         blk, errors = oracles._harmonic_balance_block(params, deltas, 16)
         assert [k for k, err in enumerate(errors) if err is not None] == [2, 6]
         assert all(isinstance(errors[k], SingularSystemError) for k in (2, 6))
-        assert str(errors[2]) == "tridiagonal solve met a zero pivot"
+        assert str(errors[2]) == (
+            "tridiagonal solve residual 2.000e-06 exceeds 1e-12")
         assert str(errors[6]) == (
             "tridiagonal solve residual 1.000e-06 exceeds 1e-12")
         for k in set(range(len(deltas))) - {2, 6}:

@@ -421,29 +421,30 @@ class TestBlockRows:
     @pytest.mark.parametrize("spec, faults, first", [
         # rows 0-11 converge at 2N, rows 12-63 at N
         (detuning_spec(201, method="both"), {5: 2e-6, 40: 1e-6}, "residual"),
-        (detuning_spec(201, method="both"), {40: 1e-6, 50: "pivot"},
-         "residual"),
-        (detuning_spec(201, method="both"), {3: "pivot", 8: 3e-6, 30: 1e-6},
-         "zero pivot"),
+        (detuning_spec(201, method="both"), {40: 1e-6, 50: 2e-6},
+         "residual 1.000e-06"),
+        (detuning_spec(201, method="both"), {3: 2e-6, 8: 3e-6, 30: 1e-6},
+         "residual 2.000e-06"),
         # rows 9 and 11 converge at N = 512, rows 0, 1, 10 at N = 471
         (detuning_spec(21, amp=400.0, start=-500.0, stop=500.0,
-                       method="both"), {10: 1e-6, 11: "pivot"}, "residual"),
-    ], ids=["residual-across-windows", "residual-before-pivot",
-            "pivot-first", "interleaved-windows"])
+                       method="both"), {10: 1e-6, 11: 2e-6}, "residual"),
+    ], ids=["residual-across-windows", "two-residuals",
+            "three-residuals", "interleaved-windows"])
     def test_harmonic_balance_failure_names_the_first_failing_row(
         self, monkeypatch, spec, faults, first
     ):
         by_delta = {spec.axis_values()[k]: fault for k, fault in faults.items()}
-        solve = oracles._solve_tridiagonal
+        solve = oracles._ladder_excitations
 
-        def faulty(dl, d, du, b):
-            fault = by_delta.get(d[len(d) // 2].real)  # Delta at n = 0
-            if fault == "pivot":
-                raise SingularSystemError("tridiagonal solve met a zero pivot")
-            x = solve(dl, d, du, b)
-            return [z * (1.0 + fault) for z in x] if fault else x
+        def faulty(diagonal, off, coupling):
+            e = solve(diagonal, off, coupling)
+            for row, d in zip(e, diagonal):
+                fault = by_delta.get(d[len(d) // 2].real)  # Delta at n = 0
+                if fault:
+                    row *= 1.0 + fault
+            return e
 
-        monkeypatch.setattr(oracles, "_solve_tridiagonal", faulty)
+        monkeypatch.setattr(oracles, "_ladder_excitations", faulty)
         err, _ = sideband_warnings(run_sweep, spec)
         expected, _ = sideband_warnings(per_row_reference, spec)
         assert isinstance(err, SingularSystemError)
@@ -455,13 +456,14 @@ class TestBlockRows:
                          mod_amp_energy=30.0, mod_freq=10.0, method="both",
                          omega_ratio=40.0)
         failing = spec.axis_values()[100]
-        solve = oracles._solve_tridiagonal
+        solve = oracles._ladder_excitations
 
-        def faulty(dl, d, du, b):
-            x = solve(dl, d, du, b)
-            return [2.0 * z for z in x] if d[len(d) // 2].real == failing else x
+        def faulty(diagonal, off, coupling):
+            e = solve(diagonal, off, coupling)
+            e[diagonal[:, diagonal.shape[1] // 2].real == failing] *= 2.0
+            return e
 
-        monkeypatch.setattr(oracles, "_solve_tridiagonal", faulty)
+        monkeypatch.setattr(oracles, "_ladder_excitations", faulty)
         err, caught = sideband_warnings(run_sweep, spec)
         expected, before = sideband_warnings(per_row_reference, spec)
         assert isinstance(err, SingularSystemError)
