@@ -29,11 +29,15 @@ first order in dx (eta of the default trap moves by about 3e-4, 1.5e-4 and
 The delay line holds every emitter input of the next D steps, D the emitter
 separation in cells (Pichler & Zoller, PRL 116, 093601 (2016)), so the run
 advances a block of up to D steps at a time, bitwise as if step by step.
-Within a block only each emitter's recurrence is a Python loop on scalars;
-the maps into and out of it, the site frequency offsets and the tallies are
-numpy over the block, built only from operations that round as Python's
-scalar ones do (see _advance). A modulation schedule is sampled only at the
-step midpoints inside its switching window.
+Within a block only each emitter's amplitude e, whose step needs the one
+before, is a Python loop on scalars. Everything else is numpy over the
+block: the maps into and out of the bright/dark pair, the bright output of
+every step once the loop has recorded e, the site frequency offsets, the
+exponential's coefficients (at the steps where the offset changes) and the
+tallies. It is built only from operations that round as Python's scalar ones
+do, with each complex * complex product written out in real parts (see
+_advance). A modulation schedule is sampled only at the step midpoints inside
+its switching window.
 
 Every substep is unitary, which is why the norm holds to ~1e-14 per step
 rather than drifting at some integrator order.
@@ -127,6 +131,14 @@ class ModulationSchedule:
         if not self.envelope(t):
             return 0.0
         return self.amp_energy * math.cos(self.freq * t)
+
+    def waveform(self, t: np.ndarray) -> np.ndarray:
+        """amp_energy * cos(freq * t) at each time of the array t, the window
+        aside: bitwise value(t) inside it. The cosine is libm's, element by
+        element (numpy's rounds differently); the products are numpy's."""
+        phases = (self.freq * t).tolist()
+        return self.amp_energy * np.fromiter(map(math.cos, phases), float,
+                                             len(phases))
 
 
 @dataclass(frozen=True)
@@ -343,9 +355,25 @@ def init_grid(protocol: TrapProtocol) -> GridState:
 def _abs2(z: np.ndarray) -> np.ndarray:
     """|z|**2 per element, bitwise as Python's abs(z) ** 2: numpy's hypot
     gives abs and libm's pow the square (numpy's x**2 is x*x, which rounds
-    differently on some inputs)."""
-    return np.array(list(map(math.pow, np.hypot(z.real, z.imag).tolist(),
-                             itertools.repeat(2.0))))
+    differently on some inputs). Exact zeros, which pow keeps at +0.0, are
+    left out of the pow."""
+    h = np.hypot(z.real, z.imag)
+    nz = np.flatnonzero(h)
+    h[nz] = np.fromiter(map(math.pow, h[nz].tolist(), itertools.repeat(2.0)),
+                        float, len(nz))
+    return h
+
+
+def _c_prod(a, b) -> np.ndarray:
+    """a * b per element, bitwise as Python multiplies complex numbers:
+    (ar*br - ai*bi) + i(ar*bi + ai*br), CPython's order, in float64 numpy
+    operations. numpy's own complex multiply may fuse these into
+    multiply-adds. a and b are complex or float, arrays or scalars."""
+    ar, ai, br, bi = np.real(a), np.imag(a), np.real(b), np.imag(b)
+    out = np.empty(np.broadcast(ar, br).shape, complex)
+    out.real = ar * br - ai * bi
+    out.imag = ar * bi + ai * br
+    return out
 
 
 def _running(start: float, steps: np.ndarray) -> np.ndarray:
@@ -355,19 +383,49 @@ def _running(start: float, steps: np.ndarray) -> np.ndarray:
 
 
 def _site_offsets(site: EmitterSite, sched: ModulationSchedule | None,
-                  mids: np.ndarray) -> list[float]:
+                  mids: np.ndarray) -> np.ndarray:
     """The site's frequency offset at each step midpoint, bitwise as
     TrapProtocol.site_frequency_offsets gives it; the schedule is sampled
     only at the midpoints inside its window. Outside it the offset is
     detuning + 0.0, which turns a -0.0 detuning into +0.0."""
     if sched is None:
-        return [site.detuning] * len(mids)
-    ws = [site.detuning + 0.0] * len(mids)
+        return np.full(len(mids), site.detuning, float)
+    ws = np.full(len(mids), site.detuning + 0.0)
     off = math.inf if sched.switch_off is None else sched.switch_off
-    inside = np.flatnonzero((sched.switch_on <= mids) & (mids < off))
-    for k, t in zip(inside.tolist(), mids[inside].tolist()):
-        ws[k] = site.detuning + sched.value(t)
+    inside = (sched.switch_on <= mids) & (mids < off)
+    ws[inside] = site.detuning + sched.waveform(mids[inside])
     return ws
+
+
+def _coefficients(ws: np.ndarray, lam: float, tau: float):
+    """The bright-mode/emitter exponential over one step at each frequency
+    offset of ws: hw = w/2, ph = exp(-i hw tau), co = cos(rho tau) and
+    isn = i sin(rho tau)/rho with rho = hypot(hw, lam).
+
+    They are computed only at the steps where w changes (so a -0.0 after a
+    0.0 keeps the old set), as a step-by-step loop recomputes them, with
+    math.hypot, math.cos and math.sin (numpy's round differently). Returns
+    (hw, ph, co, isn) for the block and an iterable of the per-step tuple
+    for the loop: when the block has one set, scalars and that tuple
+    repeated; else arrays of one entry per step and their lists zipped.
+    """
+    new = np.concatenate(([True], ws[1:] != ws[:-1]))
+    hw = 0.5 * ws[new]
+    k = len(hw)
+    rho = np.fromiter(map(math.hypot, hw.tolist(), itertools.repeat(lam)),
+                      float, k)  # >= |lam| > 0
+    ht, rt = (hw * tau).tolist(), (rho * tau).tolist()
+    ph = np.empty(k, complex)
+    ph.real = np.fromiter(map(math.cos, ht), float, k)
+    ph.imag = -np.fromiter(map(math.sin, ht), float, k)
+    co = np.fromiter(map(math.cos, rt), float, k)
+    isn = _c_prod(1j, np.fromiter(map(math.sin, rt), float, k) / rho)
+    if k == 1:
+        sets = tuple(v[0].item() for v in (hw, ph, co, isn))
+        return sets, itertools.repeat(sets)
+    at = np.cumsum(new) - 1  # the set of each step
+    sets = tuple(v[at] for v in (hw, ph, co, isn))
+    return sets, zip(*(v.tolist() for v in sets))
 
 
 def _advance(state: GridState, protocol: TrapProtocol, n: int):
@@ -375,16 +433,21 @@ def _advance(state: GridState, protocol: TrapProtocol, n: int):
     and return the time, p_cav and transmitted tally after each step.
 
     Within D steps no site needs an output that a site after it makes, so
-    the sites run in order, each over its n inputs. Only the emitter
-    recurrence (e, p2), which needs the step before, is a Python loop on
-    scalars: the exact bright-mode/emitter exponential, its coefficients
-    recomputed when the frequency offset (sampled at each step's midpoint)
-    changes. The maps into and out of the bright/dark pair and the edge
-    tallies and cavity-edge fluxes run per block in numpy, on operations
-    that round as Python's do: complex +/- complex, complex * float, hypot
-    for abs, libm's pow for the square and running sums seeded with the
-    current tally. Every complex * complex product stays in the loop, since
-    numpy may fuse its multiply-adds. So a block is bitwise n single steps.
+    the sites run in order, each over its n inputs. The exact
+    bright-mode/emitter exponential takes (e, p) to
+        e' = ph*(co*e - isn*(hw*e + lam*p)),
+        p2 = ph*(co*p - isn*(lam*e - hw*p)),
+    with coefficients set by the frequency offset at each step's midpoint
+    (_coefficients). Only e', which needs the step before, is a Python loop
+    on scalars; it records e before each step, and p2 follows for the whole
+    block in numpy. So do the maps into and out of the bright/dark pair, the
+    edge tallies and the cavity-edge fluxes, on operations that round as
+    Python's do: complex +/- complex, complex * float, hypot for abs, libm's
+    pow for the square and running sums seeded with the current tally. Each
+    complex * complex product is written out in real parts (_c_prod), since
+    numpy's complex multiply may fuse its multiply-adds. So a block is
+    bitwise n single steps, where Python's complex multiply does not fuse
+    either (as on x86-64).
     """
     if not 1 <= n <= state._max_block:
         raise OutOfRangeError(
@@ -413,21 +476,16 @@ def _advance(state: GridState, protocol: TrapProtocol, n: int):
         jr, jl = r0 + m, l0 + m
         a_r = R[jr - n : jr][::-1] * sqdx
         a_l = L[jl + 1 : jl + 1 + n] * sqdx
-        d = (a_r - a_l) * c
-        p2s, e, w_last = [], complex(e_site[i]), None
-        for p, w in zip(((a_r + a_l) * c).tolist(),
-                        _site_offsets(protocol.sites()[i], scheds[i], mids)):
-            if w != w_last:
-                w_last, hw = w, 0.5 * w
-                rho = math.hypot(hw, lam)  # >= |lam| > 0
-                ph = complex(math.cos(hw * tau), -math.sin(hw * tau))
-                co = math.cos(rho * tau)
-                isn = 1j * (math.sin(rho * tau) / rho)
-            e, p2 = (ph * (co * e - isn * (hw * e + lam * p)),
-                     ph * (co * p - isn * (lam * e - hw * p)))
-            p2s.append(p2)
+        p, d = (a_r + a_l) * c, (a_r - a_l) * c
+        sets, per_step = _coefficients(
+            _site_offsets(protocol.sites()[i], scheds[i], mids), lam, tau)
+        e, es = complex(e_site[i]), []
+        for lp, (hw, ph, co, isn) in zip((lam * p).tolist(), per_step):
+            es.append(e)
+            e = ph * (co * e - isn * (hw * e + lp))
         e_site[i] = e
-        p2 = np.array(p2s)
+        hw, ph, co, isn = sets
+        p2 = _c_prod(ph, co * p - _c_prod(isn, lam * np.array(es) - hw * p))
         R[jr - n : jr] = ((p2 + d) * s)[::-1]
         L[jl + 1 : jl + 1 + n] = (p2 - d) * s
     # per step: R and L leaving the domain, and leaving the cavity

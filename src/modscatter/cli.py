@@ -358,13 +358,9 @@ def cmd_sweep(args) -> int:
     header = [spec.axis]
     header += list(ds.columns.keys())
     header += ["sideband_max", "flagged"]
-    rows = [
-        (ds.axis_values[i],
-         *(float(ds.columns[c][i]) for c in ds.columns),
-         int(ds.truncation_orders[i]),
-         bool(ds.flags[i]))
-        for i in range(spec.points)
-    ]
+    rows = list(zip(ds.axis_values.tolist(),
+                    *(col.tolist() for col in ds.columns.values()),
+                    ds.truncation_orders.tolist(), ds.flags.tolist()))
     max_defect = float(np.max(ds.columns["unitarity_defect"]))
     n_flagged = int(np.sum(ds.flags))
     summary = (

@@ -123,21 +123,21 @@ def _eval_block(
     the converged rows of each window. The rows' warnings and
     harmonic-balance errors are replayed in row order (_replay).
     """
-    method = ds.spec.method
-    pairs = [ds.spec.params_at(v) for v in values]
-    params = pairs[0][0]
+    spec, method = ds.spec, ds.spec.method
+    params = spec.params_at(values[0])[0]
+    deltas = values if spec.axis == "detuning" else [spec.detuning]
     if params.mod_freq == 0:
         # row by row, on the detuning as given: Python's complex division
         # and numpy's differ in the last bits
         windows = [(np.array([k]), evaluate_sidebands(params, delta))
-                   for k, (_, delta) in enumerate(pairs)]
-        hbs = [None] * len(pairs)
+                   for k, delta in enumerate(deltas)]
+        hbs = [None] * len(deltas)
     else:
-        deltas = np.array([delta for _, delta in pairs])
+        deltas = np.array(deltas)
         windows, counts, capped = _converge_block(
             params, deltas, TRUNCATION_TOL, tables
         )
-        hbs, errors = [None] * len(windows), [None] * len(pairs)
+        hbs, errors = [None] * len(windows), [None] * len(deltas)
         if method != "series":
             hbs, errors = _harmonic_balance_windows(params, deltas, windows)
             for k, err in enumerate(errors):

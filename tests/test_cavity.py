@@ -573,7 +573,7 @@ class TestBlockAdvance:
         t = np.arange(1817) * 0.25
         mids = t + 0.125
         for i, site in enumerate(proto.sites()):
-            ws = cavity._site_offsets(site, scheds[i], mids)
+            ws = cavity._site_offsets(site, scheds[i], mids).tolist()
             ref = [proto.site_frequency_offsets(m)[i] for m in mids.tolist()]
             assert ws == ref
             assert [math.copysign(1.0, w) for w in ws] == [
@@ -590,14 +590,21 @@ class TestBlockAdvance:
     def test_schedules_are_sampled_only_inside_their_windows(
             self, monkeypatch, name):
         proto = block_variant(name)
-        sampled = []
-        real_value = ModulationSchedule.value
+        sampled, one_set = [], []
+        real_waveform = ModulationSchedule.waveform
+        real_coefficients = cavity._coefficients
 
-        def counting_value(sched, t):
-            sampled.append((sched, t))
-            return real_value(sched, t)
+        def counting_waveform(sched, t):
+            sampled.extend((sched, v) for v in t.tolist())
+            return real_waveform(sched, t)
 
-        monkeypatch.setattr(ModulationSchedule, "value", counting_value)
+        def noting_coefficients(ws, lam, tau):
+            sets, per_step = real_coefficients(ws, lam, tau)
+            one_set.append(np.ndim(sets[0]) == 0)
+            return sets, per_step
+
+        monkeypatch.setattr(ModulationSchedule, "waveform", counting_waveform)
+        monkeypatch.setattr(cavity, "_coefficients", noting_coefficients)
         n_steps = 3 * proto.n_cells + 17
         in_blocks(proto, loaded_grid(proto), n_steps)
         times = itertools.accumulate([0.25] * n_steps, initial=0.0)
@@ -608,6 +615,8 @@ class TestBlockAdvance:
             inside = [t for t in mids if sched.envelope(t)]
             assert [t for s, t in sampled if s is sched] == inside
             assert 0 < len(inside) < n_steps
+        # blocks with one coefficient set and with one set per step both ran
+        assert set(one_set) == {True, False}
 
     @pytest.mark.parametrize("n", [0, -1, 241])
     def test_block_outside_one_to_D_refused(self, n):
@@ -616,6 +625,81 @@ class TestBlockAdvance:
         with pytest.raises(OutOfRangeError, match="D=240"):
             cavity._advance(state, proto, n)
         assert state.time == 0.0
+
+
+def edge_floats():
+    """Signed zeros, subnormals, the smallest normal, 1e+-300, infinities,
+    NaN and seeded random values over many decades."""
+    edges = [0.0, 5e-324, 5e-310, 2.2250738585072014e-308, 1e-300, 1e300,
+             math.inf, 0.7]
+    rng = np.random.default_rng(23)
+    rand = (rng.standard_normal(12)
+            * 10.0 ** rng.integers(-160, 150, 12)).tolist()
+    return [s * v for v in edges for s in (1.0, -1.0)] + [math.nan] + rand
+
+
+def edge_complexes():
+    values = edge_floats()
+    return [complex(re, im) for re in values for im in values]
+
+
+def same_float(x, y):
+    """Bitwise-equal floats: NaN matches NaN, and a zero's sign counts."""
+    if math.isnan(x) or math.isnan(y):
+        return math.isnan(x) and math.isnan(y)
+    return x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
+
+
+def same_complex(z, w):
+    return same_float(z.real, w.real) and same_float(z.imag, w.imag)
+
+
+class TestBitwiseKernels:
+    """The numpy kernels of the trap block against Python's scalar
+    arithmetic, on the edges of the float range, with no tolerance."""
+
+    def test_real_expansion_product_equals_python_complex_product(self):
+        zs = edge_complexes()
+        a = np.repeat(np.array(zs), len(zs))
+        b = np.tile(np.array(zs), len(zs))
+        with np.errstate(all="ignore"):
+            got = cavity._c_prod(a, b).tolist()
+        assert all(map(same_complex, got, [x * y for x in zs for y in zs]))
+        # a Python complex scalar on the left, as for a block of one set
+        for x in zs[::29]:
+            with np.errstate(all="ignore"):
+                got = cavity._c_prod(x, np.array(zs)).tolist()
+            assert all(map(same_complex, got, [x * y for y in zs]))
+
+    def test_real_expansion_product_with_a_float_factor(self):
+        zs, xs = edge_complexes(), edge_floats()
+        a = np.repeat(np.array(zs), len(xs))
+        b = np.tile(np.array(xs), len(zs))
+        with np.errstate(all="ignore"):
+            got = cavity._c_prod(a, b).tolist()
+            got_1j = cavity._c_prod(1j, np.array(xs)).tolist()
+        assert all(map(same_complex, got, [z * x for z in zs for x in xs]))
+        assert all(map(same_complex, got_1j, [1j * x for x in xs]))
+
+    def test_abs2_equals_python_abs_squared(self):
+        # every abs first: CPython's abs of a complex with a NaN part keeps
+        # errno as it was, so after an overflowing pow it would raise too
+        fits, overflows = [], []
+        for z, h in [(z, abs(z)) for z in edge_complexes()]:
+            try:
+                fits.append((z, h ** 2))
+            except OverflowError:
+                overflows.append(z)
+        with np.errstate(all="ignore"):
+            got = cavity._abs2(np.array([z for z, _ in fits])).tolist()
+        assert all(map(same_float, got, [r for _, r in fits]))
+        # exact zeros skip the pow and must still come out +0.0
+        zeros = [g for (z, _), g in zip(fits, got) if z == 0]
+        assert zeros and all(same_float(g, 0.0) for g in zeros)
+        assert overflows
+        for z in overflows:
+            with pytest.raises(OverflowError):
+                cavity._abs2(np.array([z]))
 
 
 class TestGridInputRefusals:
