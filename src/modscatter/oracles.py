@@ -27,7 +27,6 @@ import numpy as np
 from .errors import OutOfRangeError, SingularSystemError
 from .params import EmitterParams
 from .scattering import (
-    BLOCK_ROWS,
     SidebandBlock,
     SidebandSet,
     _assemble_block,
@@ -174,23 +173,6 @@ def _harmonic_balance_block(
     e, errors = _hb_excitations(params, detunings, order)
     ns = np.arange(-order, order + 1)
     return _assemble_block(params, detunings, ns, _amplitudes(params, e)), errors
-
-
-def _harmonic_balance_windows(
-    params: EmitterParams, detunings: np.ndarray, windows: list
-) -> tuple[list, list]:
-    """Harmonic balance on each converged window of _converge_block, at the
-    window's N: a block per window, and per row of detunings its error
-    (None for a row in no window)."""
-    hbs, errors = [], [None] * len(detunings)
-    for rows, series in windows:
-        hb, window_errors = _harmonic_balance_block(
-            params, detunings[rows], int(series.ns[-1])
-        )
-        hbs.append(hb)
-        for k, err in zip(rows.tolist(), window_errors):
-            errors[k] = err
-    return hbs, errors
 
 
 @dataclass(frozen=True)
@@ -383,9 +365,9 @@ def cross_validate(
 
     The comparison window is the time-domain sideband range (the narrowest);
     outside it the other two routes have only exponentially small content.
-    The series and harmonic balance run in blocks of up to BLOCK_ROWS
-    detunings that share one dict of series tables; each block replays its
-    rows' warnings and errors in detuning order (_replay).
+    The series runs on all detunings at once (_converge_block) and harmonic
+    balance on each converged chunk; the rows' warnings and errors are
+    replayed in detuning order (_replay).
     """
     deltas = np.atleast_1d(np.asarray(detuning, float))
     n_td = 12 if params.mod_amp > 0 else 4
@@ -395,26 +377,23 @@ def cross_validate(
     r_td = _amplitudes(params, np.ascontiguousarray(td_spec.coeffs.T))
     td = _assemble_block(params, deltas, td_spec.ns, r_td)
     dev_hb, dev_td, d_series, d_hb = np.empty((4, len(deltas)))
-    tables: dict = {}
-    for lo in range(0, len(deltas), BLOCK_ROWS):
-        block = deltas[lo:lo + BLOCK_ROWS]
-        windows, counts, errors = _converge_block(params, block, 1e-11, tables)
-        hbs, hb_errors = _harmonic_balance_windows(params, block, windows)
-        errors = [err or hb_err for err, hb_err in zip(errors, hb_errors)]
-        for k, err in enumerate(errors):
+    counts, errors = [[] for _ in deltas], [None] * len(deltas)
+    for rows, series in _converge_block(params, deltas, 1e-11, counts, errors):
+        N = int(series.ns[-1])
+        hb, hb_errors = _harmonic_balance_block(params, deltas[rows], N)
+        for k, err in zip(rows.tolist(), hb_errors):
+            errors[k] = err
             if err is None:
                 # each series window, then the harmonic-balance set on the
                 # last of them, then the time-domain set
-                counts[k] += [counts[k][-1], td.nonpositive[lo + k]]
-        _replay(counts, errors)
-        for (rows, series), hb in zip(windows, hbs):
-            N, at = int(series.ns[-1]), lo + rows
-            # the series window [-N, N] holds the time-domain one
-            window = series.r[:, N - n_td:N + n_td + 1]
-            dev_hb[at] = np.max(np.abs(series.r - hb.r), axis=1)
-            dev_td[at] = np.max(np.abs(window - td.r[at]), axis=1)
-            d_series[at] = series.unitarity_defect
-            d_hb[at] = hb.unitarity_defect
+                counts[k] += [counts[k][-1], td.nonpositive[k]]
+        # the series window [-N, N] holds the time-domain one
+        window = series.r[:, N - n_td:N + n_td + 1]
+        dev_hb[rows] = np.max(np.abs(series.r - hb.r), axis=1)
+        dev_td[rows] = np.max(np.abs(window - td.r[rows]), axis=1)
+        d_series[rows] = series.unitarity_defect
+        d_hb[rows] = hb.unitarity_defect
+    _replay(counts, errors)
     return ValidationReport(
         detunings=deltas,
         dev_series_hb=dev_hb,

@@ -89,6 +89,8 @@ def normalized_params(
     """
     if mod_amp_energy < 0 or mod_freq < 0:
         raise ValueError("normalized parameters must be non-negative")
+    if not (omega_ratio > 0):
+        raise ValueError("omega_ratio must be positive")
     return EmitterParams(
         omega_a=omega_ratio,
         mod_amp=mod_amp_energy / omega_ratio,

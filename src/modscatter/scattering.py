@@ -129,22 +129,19 @@ def _series_tables(u: float, mod_freq: float, N: int) -> tuple:
     return jw[ls + N + L], jnl, ls * mod_freq
 
 
-def _cached_tables(tables: dict, params: EmitterParams, N: int) -> tuple:
-    """The series tables at (u, omega, N), looked up in `tables` and stored
-    there on a miss; the dict holds one u at a time, so a new u clears it."""
-    key = (modulation_index(params), params.mod_freq, N)
-    if key not in tables:
-        if any(k[0] != key[0] for k in tables):
-            tables.clear()
-        tables[key] = _series_tables(*key)
-    return tables[key]
+def _tables(params: EmitterParams, N: int) -> tuple | None:
+    """The series tables of params at window N (_series_tables), or None at
+    zero coupling, where the series vanishes."""
+    if params.coupling == 0:
+        return None
+    return _series_tables(modulation_index(params), params.mod_freq, N)
 
 
 def _series_block(
-    params: EmitterParams, detunings: np.ndarray, N: int, *, tables: dict
+    params: EmitterParams, detunings: np.ndarray, N: int, *, tables
 ) -> SidebandBlock:
     """The series amplitudes r_n, n in [-N, N], of each of `detunings` as
-    one block, with the tables of a per-call dict (see _cached_tables).
+    one block, with the tables that _tables(params, N) returns.
 
     The weights of all rows are one broadcast division, and each row keeps
     its own matrix-vector product with J_{n+l}: one matrix-matrix product
@@ -152,9 +149,9 @@ def _series_block(
     """
     rows = len(detunings)
     r = np.zeros((rows, 2 * N + 1), complex)
-    if params.coupling != 0:
+    if tables is not None:
         gamma = params.gamma
-        jl, jnl, lw = _cached_tables(tables, params, N)
+        jl, jnl, lw = tables
         weights = jl / (detunings[:, None] - lw + 1j * gamma)
         for k in range(rows):
             r[k] = -1j * gamma * (jnl @ weights[k])
@@ -230,7 +227,8 @@ def reflection_amplitudes(
     if sideband_max < 0:
         raise ValueError("sideband_max must be >= 0")
     return _one_row(_series_block(
-        params, np.array([detuning], float), sideband_max, tables={}
+        params, np.array([detuning], float), sideband_max,
+        tables=_tables(params, sideband_max),
     ))
 
 
@@ -270,35 +268,40 @@ def _truncation_orders(params: EmitterParams):
 
 
 def _converge_block(
-    params: EmitterParams, detunings: np.ndarray, tol: float, tables: dict
-) -> tuple[list, list, list]:
-    """Auto-truncation of a block of detunings at one modulation: every row
-    goes through the series at the first window of _truncation_orders, and
-    the rows whose unitarity defect is not below tol go on at the next.
+    params: EmitterParams, detunings: np.ndarray, tol: float,
+    counts: list, errors: list,
+):
+    """Auto-truncation of detunings at one modulation, as a generator: at
+    each window N of _truncation_orders it builds the series tables once,
+    runs the rows still pending in chunks of at most BLOCK_ROWS and yields
+    the converged (rows, block) of each chunk; the rows whose unitarity
+    defect is not below tol go on to the next window, regrouped.
 
-    Returns the converged windows as (rows, block) pairs in window order,
-    and per row the number of sidebands at non-positive frequency of each
-    window it went through and its error: a TruncationError with its own
-    least defect if it still fails at SIDEBAND_CAP, else None.
+    Per row k it appends to counts[k] the number of sidebands at
+    non-positive frequency of each window it goes through; once exhausted,
+    it has set errors[k] of each row still failing at SIDEBAND_CAP to a
+    TruncationError with the row's own least defect.
     """
     if not (tol > 0):
         raise ValueError("tol must be positive")
-    windows, counts = [], [[] for _ in detunings]
-    errors = [None] * len(detunings)
     pending = np.arange(len(detunings))
     best = np.full(len(detunings), np.inf)
     for n in _truncation_orders(params):
-        blk = _series_block(params, detunings[pending], n, tables=tables)
-        for k, count in zip(pending.tolist(), blk.nonpositive.tolist()):
-            counts[k].append(count)
-        ok = blk.unitarity_defect < tol
-        if ok.all():
-            windows.append((pending, blk))
-            return windows, counts, errors
-        if ok.any():
-            windows.append((pending[ok], blk.take(ok)))
-        pending = pending[~ok]
-        best[pending] = np.fmin(best[pending], blk.unitarity_defect[~ok])
+        tables, retry = _tables(params, n), []
+        for lo in range(0, len(pending), BLOCK_ROWS):
+            rows = pending[lo:lo + BLOCK_ROWS]
+            blk = _series_block(params, detunings[rows], n, tables=tables)
+            for k, count in zip(rows.tolist(), blk.nonpositive.tolist()):
+                counts[k].append(count)
+            ok = blk.unitarity_defect < tol
+            if ok.any():
+                yield (rows, blk) if ok.all() else (rows[ok], blk.take(ok))
+            failed = rows[~ok]
+            best[failed] = np.fmin(best[failed], blk.unitarity_defect[~ok])
+            retry.append(failed)
+        pending = np.concatenate(retry)
+        if not len(pending):
+            return
     for k in pending.tolist():
         least = float(best[k])
         errors[k] = TruncationError(
@@ -306,7 +309,6 @@ def _converge_block(
             f"at sideband_max={n}",
             achieved_defect=least,
         )
-    return windows, counts, errors
 
 
 def auto_truncation(
@@ -317,11 +319,12 @@ def auto_truncation(
     TruncationError. The converged set is returned as evaluated; its
     truncation is N = ns[-1]. This is _converge_block on one detuning.
     """
-    windows, counts, errors = _converge_block(
-        params, np.array([detuning], float), tol, {}
-    )
+    counts, errors = [[]], [None]
+    blocks = list(_converge_block(
+        params, np.array([detuning], float), tol, counts, errors
+    ))
     _replay(counts, errors)
-    return windows[0][1].row(0)
+    return blocks[0][1].row(0)
 
 
 def evaluate_sidebands(

@@ -15,9 +15,8 @@ import numpy as np
 from .dataio import MAX_POINTS
 from .errors import OutOfRangeError
 from .params import OMEGA_RATIO, EmitterParams, normalized_params
-from .oracles import _harmonic_balance_windows
+from .oracles import _harmonic_balance_block
 from .scattering import (
-    BLOCK_ROWS,
     TRUNCATION_TOL,
     _converge_block,
     _replay,
@@ -64,6 +63,9 @@ class SweepSpec:
             value = getattr(self, name)
             if not np.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
+        if not (self.omega_ratio > 0):
+            raise ValueError(
+                f"omega_ratio must be positive, got {self.omega_ratio!r}")
 
     def axis_values(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.points)
@@ -112,16 +114,14 @@ def _store(ds: SpectrumDataset, rows, sset) -> None:
     ds.flags[rows] = sset.unitarity_defect > UNITARITY_FLAG_TOL
 
 
-def _eval_block(
-    ds: SpectrumDataset, lo: int, values: np.ndarray, tables: dict
-) -> None:
+def _eval_block(ds: SpectrumDataset, lo: int, values: np.ndarray) -> None:
     """Evaluate the rows from `lo` on, at the axis `values`, which share one
     EmitterParams, into the dataset.
 
     The rows are auto-truncated together (_converge_block); rows still
     failing at the cap keep their NaNs and flags. Harmonic balance runs on
-    the converged rows of each window. The rows' warnings and
-    harmonic-balance errors are replayed in row order (_replay).
+    each converged chunk. The rows' warnings and harmonic-balance errors
+    are replayed in row order (_replay).
     """
     spec, method = ds.spec, ds.spec.method
     params = spec.params_at(values[0])[0]
@@ -129,39 +129,40 @@ def _eval_block(
     if params.mod_freq == 0:
         # row by row, on the detuning as given: Python's complex division
         # and numpy's differ in the last bits
-        windows = [(np.array([k]), evaluate_sidebands(params, delta))
-                   for k, delta in enumerate(deltas)]
-        hbs = [None] * len(deltas)
-    else:
-        deltas = np.array(deltas)
-        windows, counts, capped = _converge_block(
-            params, deltas, TRUNCATION_TOL, tables
-        )
-        hbs, errors = [None] * len(windows), [None] * len(deltas)
-        if method != "series":
-            hbs, errors = _harmonic_balance_windows(params, deltas, windows)
-            for k, err in enumerate(errors):
-                if capped[k] is None and err is None:
-                    counts[k].append(counts[k][-1])  # the HB set's count
-        _replay(counts, errors)
-    for (rows, used), hb in zip(windows, hbs):
+        for k, delta in enumerate(deltas):
+            _store(ds, [lo + k], evaluate_sidebands(params, delta))
+        return
+    deltas = np.array(deltas)
+    counts = [[] for _ in deltas]
+    capped, errors = [None] * len(deltas), [None] * len(deltas)
+    for rows, used in _converge_block(
+        params, deltas, TRUNCATION_TOL, counts, capped
+    ):
         at = lo + rows
-        if hb is not None and method == "both":
-            ds.columns["discrepancy"][at] = np.abs(used.total_T - hb.total_T)
-        elif hb is not None:
-            used = hb
+        if method != "series":
+            hb, hb_errors = _harmonic_balance_block(
+                params, deltas[rows], int(used.ns[-1])
+            )
+            for k, err in zip(rows.tolist(), hb_errors):
+                errors[k] = err
+                if err is None:
+                    counts[k].append(counts[k][-1])  # the HB set's count
+            if method == "both":
+                ds.columns["discrepancy"][at] = np.abs(used.total_T - hb.total_T)
+            else:
+                used = hb
         _store(ds, at, used)
+    _replay(counts, errors)
 
 
 def run_sweep(spec: SweepSpec) -> SpectrumDataset:
-    """Evaluate the sweep in blocks of rows, rows in axis order.
+    """Evaluate the sweep, rows in axis order.
 
-    Along a detuning axis every row has the same EmitterParams, so blocks
-    of up to BLOCK_ROWS rows share the series, its retries and harmonic
-    balance (_eval_block); along the other axes each row is a block. The
-    blocks share one dict of series tables for the length of the call.
-    Method "both" adds a discrepancy column if any row has omega > 0; it
-    is NaN on the static rows.
+    Along a detuning axis every row has the same EmitterParams, so the
+    whole axis is one block that shares the series tables, its retries and
+    harmonic balance (_eval_block); along the other axes each row is a
+    block. Method "both" adds a discrepancy column if any row has
+    omega > 0; it is NaN on the static rows.
     """
     values = spec.axis_values()
     names = ["T", "R", "unitarity_defect"]
@@ -176,10 +177,9 @@ def run_sweep(spec: SweepSpec) -> SpectrumDataset:
         truncation_orders=np.full(len(values), -1),
         flags=np.ones(len(values), bool),
     )
-    size = BLOCK_ROWS if spec.axis == "detuning" else 1
-    tables: dict = {}
+    size = len(values) if spec.axis == "detuning" else 1
     for lo in range(0, len(values), size):
-        _eval_block(ds, lo, values[lo:lo + size], tables)
+        _eval_block(ds, lo, values[lo:lo + size])
     return ds
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import settings
 
 from modscatter import (
-    SidebandSet, normalized_params, oracles, scattering, sweeps,
+    SidebandSet, normalized_params, oracles, scattering,
 )
 
 # Every property test draws the same examples on every run: tier-1 is
@@ -73,17 +73,17 @@ def params_unmodulated():
 
 
 def rows_alone(monkeypatch):
-    """Make run_sweep and cross_validate evaluate each row as a block of its
-    own and build the series tables afresh on every lookup, as a row-by-row
-    evaluation without a shared dict does."""
-    monkeypatch.setattr(sweeps, "BLOCK_ROWS", 1)
-    monkeypatch.setattr(oracles, "BLOCK_ROWS", 1)
+    """Make the series evaluate each row as a block of its own and build
+    the series tables afresh on every block, as a row-by-row evaluation
+    does."""
+    monkeypatch.setattr(scattering, "BLOCK_ROWS", 1)
+    block = scattering._series_block
 
-    def fresh(tables, params, N):
-        u = scattering.modulation_index(params)
-        return scattering._series_tables(u, params.mod_freq, N)
+    def fresh(params, detunings, N, *, tables):
+        return block(params, detunings, N,
+                     tables=scattering._tables(params, N))
 
-    monkeypatch.setattr(scattering, "_cached_tables", fresh)
+    monkeypatch.setattr(scattering, "_series_block", fresh)
 
 
 def count_bessel_calls(monkeypatch):

@@ -406,6 +406,35 @@ class TestRawUnitOnlyInputs:
         assert main(argv) == 64
         assert "--coupling" in capsys.readouterr().err
 
+    RAW = ["--raw-units", "--coupling", "1", "--group-velocity", "1"]
+
+    @pytest.mark.parametrize("argv, ini", [
+        pytest.param(SWEEP + RAW + ["--omega-a", "0"], None, id="zero"),
+        pytest.param(SWEEP + RAW + ["--omega-a=-0"], None, id="minus-zero"),
+        pytest.param(SWEEP + RAW, "[params]\nomega_a = 0\n", id="config"),
+        # Omega/gamma = 5e-324/360 rounds to 0.0
+        pytest.param(SWEEP + ["--raw-units", "--coupling", "600",
+                              "--group-velocity", "1e3", "--omega-a=5e-324"],
+                     None, id="underflow"),
+        pytest.param(["spectrum", "--preset", "fig3a", *RAW,
+                      "--omega-a", "0"], None, id="preset"),
+    ])
+    def test_nonpositive_carrier_refused(self, argv, ini, tmp_path, capsys,
+                                         no_engine):
+        if ini is not None:
+            cfg = tmp_path / "run.ini"
+            cfg.write_text(ini)
+            argv = argv + ["--config", str(cfg)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 64
+            assert main(argv + ["--dump-config"]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 2 and lines[0] == lines[1]
+        assert lines[0].startswith("error: omega_ratio must be positive")
+
     def test_preset_applies_omega_a_and_replays_it(self, tmp_path, capsys):
         # the dump writes the raw values as given; the replay rescales them
         assert main(self.PRESET_RAW + ["--dump-config"]) == 0

@@ -527,7 +527,7 @@ class TestCrossValidateBlocks:
     ):
         params, deltas = normalized_params(amp, freq), np.linspace(-30, 30, 9)
         expected = per_detuning_reference(params, deltas)
-        monkeypatch.setattr(oracles, "BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(scattering, "BLOCK_ROWS", block_rows)
         report = cross_validate(params, deltas)
         for name, col in expected.items():
             assert getattr(report, name).tobytes() == np.array(col).tobytes()
@@ -545,7 +545,7 @@ class TestCrossValidateBlocks:
         params, deltas = case
         expected = [NONPOSITIVE.format(c) for c in counts]
         assert outcome(per_detuning_reference, params, deltas)[1] == expected
-        monkeypatch.setattr(oracles, "BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(scattering, "BLOCK_ROWS", block_rows)
         report, caught = outcome(cross_validate, params, deltas)
         assert isinstance(report, oracles.ValidationReport)
         assert caught == expected
@@ -579,7 +579,7 @@ class TestCrossValidateBlocks:
         expected = [NONPOSITIVE.format(c) for c in counts]
         err, caught = outcome(per_detuning_reference, params, deltas)
         assert (str(err), caught) == (message, expected)
-        monkeypatch.setattr(oracles, "BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(scattering, "BLOCK_ROWS", block_rows)
         err, caught = outcome(cross_validate, params, deltas)
         assert isinstance(err, SingularSystemError | TruncationError)
         assert (str(err), caught) == (message, expected)
@@ -596,6 +596,11 @@ class TestCrossValidateBlocks:
         first = [rows for name, rows, n in shapes
                  if name == "_series_block" and n == 67]
         assert sum(first) == 1000 and len(first) == 16  # ceil(1000 / 64)
+        # the 152 rows that fail at N = 67 come from three chunks and run
+        # at 2N as ceil(152 / 64) chunks
+        retried = [rows for name, rows, n in shapes
+                   if name == "_series_block" and n == 134]
+        assert retried == [64, 64, 24]
         assert {n for _, _, n in shapes} == {67, 134}
         assert report.max_dev_series_hb < 1e-6
 

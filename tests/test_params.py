@@ -85,6 +85,11 @@ class TestNormalizedParams:
         p = normalized_params(0.0, 2.0)
         assert p.mod_amp == 0.0
 
+    @pytest.mark.parametrize("ratio", [0.0, -0.0, -1.0, float("nan")])
+    def test_nonpositive_carrier_refused(self, ratio):
+        with pytest.raises(ValueError, match="omega_ratio must be positive"):
+            normalized_params(5.0, 2.0, omega_ratio=ratio)
+
 
 @pytest.mark.parametrize("call", [
     lambda: EmitterParams(omega_a=10.0, mod_amp=0.5, mod_freq=1.0,

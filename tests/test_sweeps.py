@@ -256,19 +256,6 @@ class TestSeriesTablesPerSweep:
         assert refs
         assert all(ref() is None for ref in refs)
 
-    def test_tables_hold_one_u_at_a_time(self, monkeypatch):
-        seen = []
-        plain = sweeps._eval_block
-
-        def watched(ds, lo, values, tables):
-            plain(ds, lo, values, tables)
-            seen.append(({key[0] for key in tables}, len(tables)))
-
-        monkeypatch.setattr(sweeps, "_eval_block", watched)
-        run_sweep(AMP_SWEEP)
-        assert len(seen) == AMP_SWEEP.points
-        assert all(len(us) == 1 and n <= 6 for us, n in seen)
-
 
 def per_row_reference(spec):
     """(columns, truncation orders, flags) of the sweep, row by row through
@@ -372,7 +359,7 @@ class TestBlockRows:
 
     def test_a_retry_splits_a_block_and_the_cap_flags_rows(self):
         doubling = run_sweep(detuning_spec(201)).truncation_orders
-        assert len(set(doubling[:sweeps.BLOCK_ROWS].tolist())) == 2
+        assert len(set(doubling[:scattering.BLOCK_ROWS].tolist())) == 2
         capped = run_sweep(detuning_spec(21, amp=400.0, start=-500.0,
                                          stop=500.0))
         assert set(capped.truncation_orders.tolist()) == {-1, 471, 512}
@@ -380,14 +367,15 @@ class TestBlockRows:
         assert np.all(np.isnan(capped.columns["T"][capped.flags]))
 
     def test_each_capped_row_carries_its_own_truncation_error(self):
-        """_converge_block gives every row still failing at the cap its own
-        TruncationError, with the least defect that row reached, and None
-        to every converged row."""
+        """_converge_block sets the error of every row still failing at the
+        cap to its own TruncationError, with the least defect that row
+        reached, and leaves None to every converged row."""
         spec = detuning_spec(21, amp=400.0, start=-500.0, stop=500.0)
         params, deltas = spec.params_at(0.0)[0], spec.axis_values()
-        windows, counts, errors = scattering._converge_block(
-            params, deltas, scattering.TRUNCATION_TOL, {})
-        converged = [k for rows, _ in windows for k in rows.tolist()]
+        counts, errors = [[] for _ in deltas], [None] * len(deltas)
+        chunks = scattering._converge_block(
+            params, deltas, scattering.TRUNCATION_TOL, counts, errors)
+        converged = [k for rows, _ in chunks for k in rows.tolist()]
         capped = [k for k, err in enumerate(errors) if err is not None]
         assert len(capped) >= 2
         assert sorted(converged + capped) == list(range(len(deltas)))
@@ -480,7 +468,8 @@ class TestBlockRows:
             group_velocity=1.0,
         )
         deltas = np.linspace(-30.0, 10.0, 7)
-        blk = scattering._series_block(params, deltas, 16, tables={})
+        blk = scattering._series_block(
+            params, deltas, 16, tables=scattering._tables(params, 16))
         for k, delta in enumerate(deltas):
             ref = series_row(params, delta, 16)
             same_bits(blk.row(k), ref)
@@ -502,9 +491,34 @@ class TestBlockRows:
     def test_blocks_stay_within_block_rows(self, monkeypatch):
         shapes = record_block_shapes(monkeypatch)
         ds = run_sweep(detuning_spec(1000, method="both"))
-        assert max(rows for _, rows, _ in shapes) == sweeps.BLOCK_ROWS
+        assert max(rows for _, rows, _ in shapes) == scattering.BLOCK_ROWS
         first = [rows for name, rows, n in shapes
                  if name == "_series_block" and n == 67]
         assert sum(first) == 1000 and len(first) == 16  # ceil(1000 / 64)
+        # the 118 rows that fail at N = 67 come from three chunks and run
+        # at 2N as ceil(118 / 64) chunks
+        retried = [rows for name, rows, n in shapes
+                   if name == "_series_block" and n == 134]
+        assert retried == [64, 54]
         assert {n for _, _, n in shapes} == {67, 134}
         assert not np.any(ds.flags)
+
+    def test_retried_rows_regroup_across_chunks(self, monkeypatch):
+        """The rows that fail the first window, from several chunks of
+        it, run at 2N in ceil(retried / BLOCK_ROWS) chunks, bit for bit the
+        per-row functions."""
+        spec = detuning_spec(401, start=-60.0, stop=60.0, method="both",
+                             sideband_orders=(0, 1))
+        shapes = record_block_shapes(monkeypatch)
+        ds = run_sweep(spec)
+        series = [(rows, n) for name, rows, n in shapes
+                  if name == "_series_block"]
+        N, size = series[0][1], scattering.BLOCK_ROWS
+        retried = np.flatnonzero(ds.truncation_orders != N)
+        assert set(ds.truncation_orders.tolist()) == {N, 2 * N}
+        assert len(set((retried // size).tolist())) >= 2
+        again = [rows for rows, n in series if n == 2 * N]
+        assert sum(again) == len(retried)
+        assert len(again) == -(-len(retried) // size)
+        assert max(rows for _, rows, _ in shapes) <= size
+        assert_same_bits(ds, per_row_reference(spec))
