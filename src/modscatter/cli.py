@@ -282,6 +282,10 @@ def _sweep_spec_from(args) -> SweepSpec:
     omega_ratio = OMEGA_RATIO
     if raw_gamma is not None and args.omega_a is not None:
         omega_ratio = args.omega_a / gamma
+        if not 0 < omega_ratio < math.inf:
+            raise ValueError(f"--omega-a ([params] omega_a) must give a "
+                             f"finite Omega/gamma > 0, got {args.omega_a!r} "
+                             f"(Omega/gamma = {omega_ratio!r})")
     text = getattr(args, "orders", None)
     orders = () if text is None else tuple(
         int(tok) for tok in text.split(",") if tok.strip() != "")

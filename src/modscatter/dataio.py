@@ -25,26 +25,23 @@ def format_float(x: float, precision: int = 12) -> str:
     return f"{x:.{precision}e}"
 
 
-def _format_value(v, precision: int) -> str:
-    if isinstance(v, bool):
-        return "1" if v else "0"
-    if isinstance(v, float):
-        return format_float(v, precision)
-    return str(v)
-
-
 def render_csv(
     meta: Mapping[str, object],
     header: list[str],
     rows: Iterable[tuple],
     precision: int = 12,
 ) -> str:
+    """Each data row is one %-format whose fields follow its value types:
+    %d for a bool, format_float's %e for any float, %s for the rest."""
     buf = io.StringIO()
     for key, value in meta.items():
         buf.write(f"# {key}={value}\n")
     buf.write(",".join(header) + "\n")
-    for row in rows:
-        buf.write(",".join(_format_value(v, precision) for v in row) + "\n")
+    real = f"%.{precision}e"
+    for row in map(tuple, rows):
+        buf.write(",".join(["%d" if isinstance(v, bool) else
+                            real if isinstance(v, float) else "%s"
+                            for v in row]) % row + "\n")
     return buf.getvalue()
 
 

@@ -143,18 +143,17 @@ def _series_block(
     """The series amplitudes r_n, n in [-N, N], of each of `detunings` as
     one block, with the tables that _tables(params, N) returns.
 
-    The weights of all rows are one broadcast division, and each row keeps
-    its own matrix-vector product with J_{n+l}: one matrix-matrix product
-    would sum in another order and move the last bits.
+    The weights of all rows are one broadcast division, and the product
+    with J_{n+l} is one stacked matmul whose items are each row's lone
+    matrix-vector product, summed as alone (one GEMM would not be).
     """
-    rows = len(detunings)
-    r = np.zeros((rows, 2 * N + 1), complex)
-    if tables is not None:
+    if tables is None:
+        r = np.zeros((len(detunings), 2 * N + 1), complex)
+    else:
         gamma = params.gamma
         jl, jnl, lw = tables
         weights = jl / (detunings[:, None] - lw + 1j * gamma)
-        for k in range(rows):
-            r[k] = -1j * gamma * (jnl @ weights[k])
+        r = -1j * gamma * np.matmul(jnl, weights[:, :, None])[:, :, 0]
     return _assemble_block(params, detunings, np.arange(-N, N + 1), r)
 
 

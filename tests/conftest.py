@@ -1,3 +1,4 @@
+import io
 import math
 import weakref
 
@@ -70,6 +71,26 @@ def params_static_amp():
 @pytest.fixture
 def params_unmodulated():
     return normalized_params(0.0, 2.0)
+
+
+def csv_reference(meta, header, rows, precision=12) -> str:
+    """The CSV text of render_csv built one cell at a time: a bool as 1 or
+    0, a float (numpy's included) as f"{v:.{precision}e}", any other value
+    as str(v)."""
+    def cell(v):
+        if isinstance(v, bool):
+            return "1" if v else "0"
+        if isinstance(v, float):
+            return f"{v:.{precision}e}"
+        return str(v)
+
+    buf = io.StringIO()
+    for key, value in meta.items():
+        buf.write(f"# {key}={value}\n")
+    buf.write(",".join(header) + "\n")
+    for row in rows:
+        buf.write(",".join(cell(v) for v in row) + "\n")
+    return buf.getvalue()
 
 
 def rows_alone(monkeypatch):

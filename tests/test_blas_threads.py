@@ -76,3 +76,18 @@ def test_output_bytes_do_not_depend_on_blas_threads(argv):
     one, two = (run_python(code, OPENBLAS_NUM_THREADS=n) for n in ("1", "2"))
     assert one.stdout.count("\n") > 100
     assert (one.stdout, one.stderr) == (two.stdout, two.stderr)
+
+
+def test_stacked_series_product_equals_the_rows_alone_on_two_threads():
+    # at N = 512 both threads share each matrix-vector product; the block's
+    # one stacked product must still give every row its lone product's bits
+    code = (
+        "import numpy as np; from modscatter import normalized_params, "
+        "scattering; p = normalized_params(30.0, 1.0); "
+        "t = scattering._tables(p, 512); jl, jnl, lw = t; "
+        "d = np.random.default_rng(7).uniform(-40.0, 40.0, 64); "
+        "w = jl / (d[:, None] - lw + 1j * p.gamma); "
+        "ref = np.array([-1j * p.gamma * (jnl @ x) for x in w]); "
+        "r = scattering._series_block(p, d, 512, tables=t).r; "
+        "print(np.array_equal(r.view(float), ref.view(float)))")
+    assert run_python(code, OPENBLAS_NUM_THREADS="2").stdout.strip() == "True"

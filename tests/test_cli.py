@@ -418,6 +418,7 @@ class TestRawUnitOnlyInputs:
                      None, id="underflow"),
         pytest.param(["spectrum", "--preset", "fig3a", *RAW,
                       "--omega-a", "0"], None, id="preset"),
+        pytest.param(SWEEP + RAW + ["--omega-a=inf"], None, id="inf"),
     ])
     def test_nonpositive_carrier_refused(self, argv, ini, tmp_path, capsys,
                                          no_engine):
@@ -433,7 +434,10 @@ class TestRawUnitOnlyInputs:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 2 and lines[0] == lines[1]
-        assert lines[0].startswith("error: omega_ratio must be positive")
+        # the refusal names the flag and config key that was given, not the
+        # derived Omega/gamma
+        assert lines[0].startswith("error: --omega-a ([params] omega_a) ")
+        assert "omega_ratio" not in lines[0]
 
     def test_preset_applies_omega_a_and_replays_it(self, tmp_path, capsys):
         # the dump writes the raw values as given; the replay rescales them

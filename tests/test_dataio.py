@@ -1,8 +1,12 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
+from conftest import csv_reference
 from modscatter import OutOfRangeError
+from modscatter.cli import MAX_PRECISION
 from modscatter.dataio import (
     MAX_POINTS,
     dump_config,
@@ -65,6 +69,45 @@ class TestFormatting:
         args = ({"k": 1}, ["a", "b"], [(1.0, 2.0)])
         assert render_csv(*args) == render_csv(*args)
         assert render_json(*args) == render_json(*args)
+
+
+FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+          -2.2250738585072014e-308, 1e300, -1e300, 1e-300, -1e-300,
+          math.inf, -math.inf, math.nan, 0.1, 1 / 3)
+OTHERS = (True, False, 0, -7, 10**30, np.float64(-2.5), np.float64(math.nan),
+          np.float64(-0.0), np.bool_(True), np.bool_(False), np.int64(-3),
+          "x", None)
+
+
+class TestCsvMatchesTheCellFormatter:
+    """render_csv writes the bytes of the one-cell-at-a-time formatter
+    (conftest.csv_reference), whatever the precision, value types and row
+    container."""
+
+    META = {"axis": "detuning", "points": 2}
+
+    def same(self, rows, precision=12, header=None):
+        """Rows given as tuples, as lists and as a generator."""
+        header = header or [f"c{i}" for i in range(len(rows[0]))]
+        expected = csv_reference(self.META, header, rows, precision)
+        for shaped in ([tuple(r) for r in rows], [list(r) for r in rows],
+                       (tuple(r) for r in rows)):
+            assert render_csv(self.META, header, shaped, precision) == expected
+
+    @pytest.mark.parametrize("precision", range(MAX_PRECISION + 1))
+    def test_every_precision(self, precision):
+        self.same([FLOATS, OTHERS, FLOATS[::-1], OTHERS[::-1]], precision)
+
+    @pytest.mark.parametrize("value", FLOATS + OTHERS, ids=repr)
+    def test_each_value_alone(self, value):
+        self.same([(value,), (value, value)], precision=16, header=["v"])
+
+    @pytest.mark.parametrize("first, then", [
+        (None, 1.5), (3, 2.5), (True, np.bool_(True)), (1.5, None),
+        (2.5, 3), (np.bool_(False), False), (1.0, True), (True, 1.0),
+    ], ids=repr)
+    def test_column_types_change_from_row_to_row(self, first, then):
+        self.same([(first, 0.25), (then, 0.25), (first, then)], precision=6)
 
 
 class TestParseRange:

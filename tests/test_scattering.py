@@ -274,6 +274,38 @@ class TestOneSeriesEvaluationPerPoint:
         same_bits(sset, series_row(params, delta, int(sset.ns[-1])))
 
 
+def rows_alone_product(params, detunings, tables):
+    """r_n of each detuning from its own matrix-vector product with
+    J_{n+l}, one row at a time."""
+    gamma = params.gamma
+    jl, jnl, lw = tables
+    weights = jl / (detunings[:, None] - lw + 1j * gamma)
+    return np.array([-1j * gamma * (jnl @ w) for w in weights])
+
+
+class TestStackedSeriesProduct:
+    """A block's one stacked product gives every row the bits of that row's
+    lone matrix-vector product."""
+
+    @pytest.mark.parametrize("amp, freq", [(0.5, 2.0), (5.0, 2.0), (12.0, 1.0),
+                                           (30.0, 1.0), (400.0, 1.0),
+                                           (5.0, 0.3)])
+    def test_block_equals_the_rows_alone(self, amp, freq):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # f*Omega = 400 is not small
+            params = normalized_params(amp, freq)
+        rng = np.random.default_rng(int(amp * 10 + freq * 100))
+        windows = list(scattering._truncation_orders(params))[:4]
+        for N in windows:
+            tables = scattering._tables(params, N)
+            for rows in (1, 2, 7, 63, 64):
+                detunings = rng.uniform(-40.0, 40.0, rows)
+                r = scattering._series_block(params, detunings, N,
+                                             tables=tables).r
+                ref = rows_alone_product(params, detunings, tables)
+                assert np.array_equal(r.view(float), ref.view(float)), (N, rows)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     amp=st.floats(min_value=0.0, max_value=8.0),
