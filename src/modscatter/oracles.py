@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfRangeError, SingularSystemError
+from .bessel import check_domain
+from .errors import OutOfRangeError, ScatterError, SingularSystemError
 from .params import EmitterParams
 from .scattering import (
     SidebandBlock,
@@ -34,6 +35,7 @@ from .scattering import (
     _one_row,
     _replay,
     evaluate_sidebands,  # noqa: F401 (unused; perfbench/tracing.py wraps it)
+    modulation_index,
 )
 
 RESIDUAL_TOL = 1e-12
@@ -42,8 +44,12 @@ PERIODICITY_TOL = 1e-9
 # the float64 overflow at exp(709)
 MAX_DECAY_PER_PERIOD = 600.0
 # (steps per period + 1) x detunings: at the cap each complex array of the
-# scan is 32 MB and an oracle run peaks near 330 MB
+# scan is 32 MB and an oracle run peaks near 100 MB (6636 detunings) to
+# 130 MB (two detunings over 1.05M steps)
 MAX_TD_SAMPLES = 2**21
+# orbit samples (steps x detunings) per block of the RK4 maps, of their
+# check and of the Fourier phases: bounds the temporaries, whatever the period
+BLOCK_SAMPLES = 2**14
 
 
 @dataclass(frozen=True)
@@ -199,7 +205,11 @@ def _step_bound(params: EmitterParams, detunings: np.ndarray) -> float:
 def _rk4_step(params: EmitterParams, deltas: np.ndarray, t, y, dt: float):
     """One classical RK4 step of the rotating-frame equation
     y' = [i(Delta - f*Omega cos(omega t)) - gamma] y - iV, vectorised over
-    step start times t (a column) and detunings (a row)."""
+    step start times t (a column) and detunings (a row), stage by stage.
+
+    The scan builds its maps from _affine_maps instead; this is the
+    independent reference that periodicity_defect recomputes the orbit with.
+    """
     fo, om = params.mod_amp * params.omega_a, params.mod_freq
     gamma, v = params.gamma, params.coupling
 
@@ -213,28 +223,10 @@ def _rk4_step(params: EmitterParams, deltas: np.ndarray, t, y, dt: float):
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def time_domain_excitation(params: EmitterParams, detuning) -> TimeDomainTrace:
-    """RK4 orbit of the reduced equation over one period of its periodic
-    steady state, in the frame rotating at omega_0.
-
-    The equation is linear, so each RK4 step is exactly an affine map
-    y -> A_k y + B_k. With P = cumprod(A) and S = cumsum(B/P) the orbit is
-    y_{k+1} = P_k (y0 + S_k), and the one-period map y -> M y + M S[-1]
-    (M = P[-1]) fixes the periodic start y0 = M S[-1] / (1 - M): Floquet
-    shooting (Shirley, Phys. Rev. 138, B979 (1965)), with no transient to
-    burn in. The iterates equal those of stepping the same RK4 from y0 up
-    to round-off.
-
-    detuning may be a scalar or an array; an array runs every column in the
-    same vectorised scan. The step dt = T_mod / n_per is the largest whole
-    fraction of T_mod not above 1/(50 max(gamma, |Delta|, omega, f*Omega));
-    the carrier omega_0 never enters it.
-
-    Refuses with OutOfRangeError, before allocating anything, when
-    gamma*T_mod exceeds MAX_DECAY_PER_PERIOD (1/P would overflow) or when
-    the orbit would hold more than MAX_TD_SAMPLES samples.
-    """
-    deltas = np.atleast_1d(np.asarray(detuning, float))
+def _td_grid(params: EmitterParams, deltas: np.ndarray) -> tuple[int, float]:
+    """The steps per period n_per and the step dt of the time-domain scan
+    over deltas, or its refusal (see time_domain_excitation); allocates
+    nothing."""
     om = params.mod_freq
     if om <= 0:
         raise ValueError("time-domain oracle requires mod_freq > 0")
@@ -252,18 +244,116 @@ def time_domain_excitation(params: EmitterParams, detuning) -> TimeDomainTrace:
             f"the limit of {MAX_TD_SAMPLES} time-domain orbit samples"
         )
     n_per = int(steps)
-    dt = t_mod / n_per
+    return n_per, t_mod / n_per
 
-    t = (np.arange(n_per) * dt)[:, None]
-    b = _rk4_step(params, deltas, t, 0.0, dt)
-    a = _rk4_step(params, deltas, t, 1.0, dt) - b
-    p = np.cumprod(a, axis=0)
-    s = np.cumsum(b / p, axis=0)
-    m = p[-1]
-    y0 = m * s[-1] / (1.0 - m)
+
+def _block_steps(columns: int) -> int:
+    """Steps per block over `columns` detunings: BLOCK_SAMPLES complex
+    entries, counting 16 more per step for the step's own map coefficients
+    and real temporaries."""
+    return max(1, BLOCK_SAMPLES // (columns + 16))
+
+
+def _affine_maps(params: EmitterParams, deltas: np.ndarray, dt: float,
+                 am1: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Fill row k of am1 and b with step k of the period, from t_k = k dt,
+    as the affine map y -> (1 + am1[k]) y + b[k] for every detuning (a
+    column each), and return log M = sum_k log(1 + am1[k]) of the
+    one-period map.
+
+    Over a step the coefficient of the equation is c = u + w(t), with
+    u = i Delta - gamma and w = -i f*Omega cos(omega t). With U = u dt and
+    W_j = i v_j = w dt at the step's start, midpoint and end (j = 0, 1, 2),
+    RK4's four stages make 6(a - 1) the quartic
+
+        C0 + 4C1 + C2 + C0C1 + C1^2 + C1C2 + (C0C1^2 + C1^2C2)/2 + C0C1^2C2/4
+
+    and b/(-iV dt/6) the cubic 6 + 2C1 + C2 + (C1^2 + C1C2)/2 + C1^2C2/4
+    in C_j = U + W_j. Their coefficients in powers of U, written out below
+    in the real v_j, depend on the step alone, so each map is one product
+    of the steps' coefficient rows with the powers of U, and a - 1 comes
+    with no cancellation. The steps go in blocks of _block_steps, so that
+    the temporaries stay bounded whatever the period. log M is summed in
+    real parts from a - 1 = x + iy, as 1/2 log1p(2x + x^2 + y^2) +
+    i atan2(y, 1 + x), which keeps its digits where M rounds to 1.
+    """
+    fo, om = params.mod_amp * params.omega_a, params.mod_freq
+    powers = (dt * (1j * deltas - params.gamma)) ** np.arange(5)[:, None]
+    to_a, to_b = powers / 6.0, powers[:4] * (-1j * params.coupling * dt / 6.0)
+    log_m = np.zeros(len(deltas), complex)
+    steps = _block_steps(len(deltas))
+    for lo in range(0, len(am1), steps):
+        hi = min(lo + steps, len(am1))
+        t = np.arange(lo, hi) * dt
+        v0, v1, v2 = (-dt * fo * np.cos(om * s)
+                      for s in (t, t + 0.5 * dt, t + dt))
+        s02, p02 = v0 + v2, v0 * v2
+        r = v1 * (v1 + s02)
+        ca = np.empty((hi - lo, 5), complex)
+        ca.real[:, 0] = 0.25 * p02 * v1 * v1 - r
+        ca.imag[:, 0] = s02 + 4.0 * v1 - 0.5 * v1 * v1 * s02
+        ca.real[:, 1] = 6.0 - r
+        ca.imag[:, 1] = s02 + 4.0 * v1 - 0.25 * v1 * (v1 * s02 + 2.0 * p02)
+        ca.real[:, 2] = 3.0 - 0.25 * (r + v1 * s02 + p02)
+        ca.imag[:, 2] = 0.5 * s02 + 2.0 * v1
+        ca[:, 3] = 1.0 + 0.25j * (s02 + 2.0 * v1)
+        ca[:, 4] = 0.25
+        cb = np.empty((hi - lo, 4), complex)
+        cb.real[:, 0] = 6.0 - 0.5 * v1 * (v1 + v2)
+        cb.imag[:, 0] = 2.0 * v1 + v2 - 0.25 * v1 * v1 * v2
+        cb.real[:, 1] = 3.0 - 0.25 * v1 * (v1 + 2.0 * v2)
+        cb.imag[:, 1] = 1.5 * v1 + 0.5 * v2
+        cb[:, 2] = 1.0 + 0.25j * (2.0 * v1 + v2)
+        cb[:, 3] = 0.25
+        np.matmul(ca, to_a, out=am1[lo:hi])
+        np.matmul(cb, to_b, out=b[lo:hi])
+        # one C-ordered row per detuning, so that the sums over the steps
+        # are numpy's pairwise ones
+        x, y = am1[lo:hi].real.T.copy(), am1[lo:hi].imag.T.copy()
+        log_m.real += 0.5 * np.sum(np.log1p(x * (2.0 + x) + y * y), axis=1)
+        log_m.imag += np.sum(np.arctan2(y, 1.0 + x), axis=1)
+    return log_m
+
+
+def time_domain_excitation(params: EmitterParams, detuning) -> TimeDomainTrace:
+    """RK4 orbit of the reduced equation over one period of its periodic
+    steady state, in the frame rotating at omega_0.
+
+    The equation is linear, so each RK4 step is exactly an affine map
+    y -> A_k y + B_k (_affine_maps). With P = cumprod(A) and S =
+    cumsum(B/P) the orbit is y_{k+1} = P_k (y0 + S_k), and the one-period
+    map y -> M y + M S[-1] (M = P[-1]) fixes the periodic start y0 =
+    M S[-1] / (1 - M): Floquet shooting (Shirley, Phys. Rev. 138, B979
+    (1965)), with no transient to burn in. 1 - M = -expm1(log M) is taken
+    from the exact A_k - 1, in real parts, so y0 keeps its digits as
+    gamma*T_mod -> 0, where M rounds to 1. The iterates equal those of
+    stepping the same RK4 from y0 up to round-off.
+
+    detuning may be a scalar or an array; an array runs every column in the
+    same vectorised scan. The step dt = T_mod / n_per is the largest whole
+    fraction of T_mod not above 1/(50 max(gamma, |Delta|, omega, f*Omega));
+    the carrier omega_0 never enters it.
+
+    Refuses with OutOfRangeError, before allocating anything, when
+    gamma*T_mod exceeds MAX_DECAY_PER_PERIOD (1/P would overflow) or when
+    the orbit would hold more than MAX_TD_SAMPLES samples.
+    """
+    deltas = np.atleast_1d(np.asarray(detuning, float))
+    n_per, dt = _td_grid(params, deltas)
     orbit = np.empty((n_per + 1, len(deltas)), complex)
+    a, s = np.empty((n_per, len(deltas)), complex), orbit[1:]
+    log_m = _affine_maps(params, deltas, dt, a, s)  # a - 1 and B, in place
+    a += 1.0
+    p = np.cumprod(a, axis=0, out=a)
+    np.divide(s, p, out=s)
+    np.cumsum(s, axis=0, out=s)
+    # 1 - M = -(exp(log M) - 1), its real part without cancellation
+    one_minus_m = (2.0 * np.sin(0.5 * log_m.imag) ** 2
+                   - np.expm1(log_m.real) * np.cos(log_m.imag)
+                   - 1j * np.exp(log_m.real) * np.sin(log_m.imag))
+    y0 = p[-1] * s[-1] / one_minus_m
     orbit[0] = y0
-    orbit[1:] = p * (y0 + s)
+    np.multiply(p, np.add(s, y0, out=s), out=s)
     orbit[-1] = y0  # close the period exactly; periodicity_defect checks it
     if np.ndim(detuning) == 0:
         orbit = orbit[:, 0]
@@ -275,18 +365,24 @@ def periodicity_defect(trace: TimeDomainTrace, params: EmitterParams) -> float:
     largest sample.
 
     Every step k -> k+1 of the period is recomputed directly from the RK4
-    stages and compared with the stored sample k+1, and the closing sample
-    must equal the first. This checks the scan algebra (cumulative
-    products, sums and the Floquet start) without sharing it.
+    stages (_rk4_step), a block of steps at a time (_block_steps), and
+    compared with the stored sample k+1, and the closing sample must equal
+    the first. This checks the scan algebra (the polynomial maps, the
+    cumulative products and sums, and the Floquet start) without sharing
+    it.
     """
     z = np.atleast_2d(trace.samples.T).T
-    t = (np.arange(z.shape[0] - 1) * trace.dt)[:, None]
-    resid = _rk4_step(params, trace.detuning, t, z[:-1], trace.dt) - z[1:]
-    closure = z[-1] - z[0]
     den = np.max(np.abs(z))
     if den == 0:
         return 0.0
-    return float(max(np.max(np.abs(resid)), np.max(np.abs(closure))) / den)
+    worst = np.max(np.abs(z[-1] - z[0]))
+    steps = _block_steps(z.shape[1])
+    for lo in range(0, z.shape[0] - 1, steps):
+        hi = min(lo + steps, z.shape[0] - 1)
+        t = (np.arange(lo, hi) * trace.dt)[:, None]
+        step = _rk4_step(params, trace.detuning, t, z[lo:hi], trace.dt)
+        worst = max(worst, np.max(np.abs(step - z[lo + 1:hi + 1])))
+    return float(worst / den)
 
 
 def fourier_extract(trace: TimeDomainTrace, n_max: int) -> ExcitationSpectrum:
@@ -294,8 +390,12 @@ def fourier_extract(trace: TimeDomainTrace, n_max: int) -> ExcitationSpectrum:
 
     In the rotating frame y(t) = sum_n e_n exp(-i n omega t), and on one
     closed period of a periodic integrand the trapezoid rule is exactly the
-    DFT (Trefethen & Weideman, SIAM Rev. 56, 385 (2014)), so all harmonics
-    come from one inverse FFT of the period. Refuses with ValueError when
+    DFT (Trefethen & Weideman, SIAM Rev. 56, 385 (2014)). Only the
+    2*n_max + 1 compared harmonics are taken, as a DFT whose phases come
+    from one table of the n_per roots of unity, indexed by (n k) mod n_per,
+    so its cost grows with the window, not with a transform of the whole
+    period. The harmonics go in chunks, so that no phase block holds more
+    than max(BLOCK_SAMPLES, n_per) entries. Refuses with ValueError when
     the period holds fewer than 2*n_max + 1 samples, where harmonics alias.
     """
     n_per = trace.samples.shape[0] - 1
@@ -304,7 +404,16 @@ def fourier_extract(trace: TimeDomainTrace, n_max: int) -> ExcitationSpectrum:
             f"{2 * n_max + 1} harmonics alias on {n_per} samples per period"
         )
     ns = np.arange(-n_max, n_max + 1)
-    coeffs = np.fft.ifft(trace.samples[:-1], axis=0)[ns % n_per]
+    y = trace.samples[:-1]
+    # exp(2 pi i k/n_per), its upper half the conjugate of the lower
+    half = np.exp((2j * np.pi / n_per) * np.arange(n_per // 2 + 1))
+    roots = np.concatenate([half, half[(n_per + 1) // 2 - 1:0:-1].conj()])
+    chunk = max(1, BLOCK_SAMPLES // n_per)
+    coeffs = np.empty((len(ns),) + y.shape[1:], complex)
+    for lo in range(0, len(ns), chunk):
+        index = np.multiply.outer(ns[lo:lo + chunk] % n_per, np.arange(n_per))
+        np.remainder(index, n_per, out=index)
+        coeffs[lo:lo + chunk] = (roots[index] @ y) / n_per
     return ExcitationSpectrum(ns=ns, coeffs=coeffs)
 
 
@@ -371,6 +480,15 @@ def cross_validate(
     """
     deltas = np.atleast_1d(np.asarray(detuning, float))
     n_td = 12 if params.mod_amp > 0 else 4
+    # the series meets its Bessel domain (_tables) only after the scan:
+    # refuse a modulation index outside it up front, but after the
+    # time-domain refusals, which allocate nothing
+    if params.coupling != 0:
+        try:
+            check_domain(modulation_index(params))
+        except ScatterError:
+            _td_grid(params, deltas)
+            raise
     trace = time_domain_excitation(params, deltas)
     td_spec = fourier_extract(trace, n_td)
     # one C-contiguous row per detuning, so that each row sums as one set

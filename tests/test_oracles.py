@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -324,6 +325,122 @@ class TestTimeDomainLimits:
         assert np.max(np.abs(loop - scan)) <= 1e-12 * np.max(np.abs(scan))
         assert periodicity_defect(trace, p) < 1e-12
 
+    @pytest.mark.usefixtures("no_scan")
+    def test_series_domain_is_refused_before_the_scan(self):
+        # u = f*Omega/omega = 1e3 is past the Bessel domain of the series
+        with pytest.raises(OutOfRangeError,
+                           match="argument 1000.0 outside validated domain"):
+            cross_validate(normalized_params(1000.0, 1.0),
+                           np.array([0.0, 1.0]))
+
+    @pytest.mark.usefixtures("no_scan")
+    @pytest.mark.parametrize("amp, freq, n, error, message", [
+        (1000.0, 0.001, 2, OutOfRangeError, "600"),
+        (1000.0, 1.0, 300, OutOfRangeError, str(2**21)),
+        (5e5, 1.0, 2, OutOfRangeError, str(2**21)),
+        (5.0, 0.0, 2, ValueError, "mod_freq > 0"),
+    ])
+    def test_time_domain_refusals_still_come_first(self, amp, freq, n, error,
+                                                   message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # f = amp/Omega is not small
+            params = normalized_params(amp, freq)
+        with pytest.raises(error, match=message):
+            cross_validate(params, np.linspace(-1.0, 1.0, n))
+
+
+def rk4_maps_reference(params, deltas, n_per, dt):
+    """Each step's affine map y -> a y + b from two stage-by-stage RK4
+    steps, of y = 1 and of y = 0."""
+    t = (np.arange(n_per) * dt)[:, None]
+    b = oracles._rk4_step(params, deltas, t, 0.0, dt)
+    return oracles._rk4_step(params, deltas, t, 1.0, dt) - b, b
+
+
+def assert_maps_match_rk4(params, deltas):
+    n_per, dt = oracles._td_grid(params, deltas)
+    am1, b = np.empty((2, n_per, len(deltas)), complex)
+    log_m = oracles._affine_maps(params, deltas, dt, am1, b)
+    a_ref, b_ref = rk4_maps_reference(params, deltas, n_per, dt)
+    assert np.max(np.abs(1.0 + am1 - a_ref)) <= 1e-15
+    assert np.max(np.abs(b - b_ref)) <= 2e-15 * np.max(np.abs(b_ref))
+    # log M against the exactly rounded sums of the reference's logs
+    logs = np.log(a_ref)
+    for j in range(len(deltas)):
+        ref = complex(math.fsum(logs[:, j].real), math.fsum(logs[:, j].imag))
+        assert abs(log_m[j] - ref) <= 1e-15 * n_per
+    return n_per, b
+
+
+class TestAffineMaps:
+    """_affine_maps writes each RK4 step as y -> (1 + am1) y + b from
+    polynomials in U = (i Delta - gamma) dt; a stage-by-stage RK4 step
+    (_rk4_step) of y = 1 and y = 0 is the reference."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True,
+              database=None)
+    @given(
+        amp=st.floats(min_value=0.0, max_value=30.0),
+        freq=st.floats(min_value=0.2, max_value=20.0),
+        deltas=st.lists(st.floats(min_value=-40.0, max_value=40.0),
+                        min_size=1, max_size=5),
+    )
+    def test_maps_equal_the_stage_by_stage_step(self, amp, freq, deltas):
+        assert_maps_match_rk4(normalized_params(amp, freq), np.array(deltas))
+
+    @pytest.mark.parametrize("amp, freq, deltas", [
+        (0.0, 2.0, [-3.0, 0.0, 1.5]),          # f*Omega = 0
+        (5.0, 2.0, [0.7]),                      # one detuning
+        (2.0, 2.0 * np.pi / 599.0, [0.5]),      # gamma*T_mod = 599
+    ], ids=["unmodulated", "one-detuning", "gamma-T-599"])
+    def test_edges(self, amp, freq, deltas):
+        assert_maps_match_rk4(normalized_params(amp, freq), np.array(deltas))
+
+    def test_maps_stitch_across_blocks(self):
+        deltas = np.array([-2.0, 0.3])
+        n_per, _ = assert_maps_match_rk4(normalized_params(10.0, 0.3), deltas)
+        assert n_per == 10472 > 10 * oracles._block_steps(len(deltas))
+
+    def test_dark_emitter_has_no_drive(self):
+        dark = EmitterParams(omega_a=1000.0, mod_amp=0.005, mod_freq=2.0,
+                             coupling=0.0, group_velocity=1.0)
+        _, b = assert_maps_match_rk4(dark, np.array([-1.0, 0.5]))
+        assert np.all(b == 0.0)
+
+
+@pytest.mark.filterwarnings("ignore:.*non-positive frequency")
+class TestFastModulation:
+    """At gamma*T_mod -> 0 the one-period map M rounds to 1; the Floquet
+    start takes 1 - M from the exact a - 1 instead."""
+
+    @pytest.mark.parametrize("freq", [1e6, 1e10, 1e20, 1e300])
+    def test_report_passes_with_the_time_domain_at_round_off(self, freq):
+        report = cross_validate(normalized_params(5.0, freq),
+                                np.linspace(-2.0, 2.0, 3))
+        assert report.passed
+        assert report.max_dev_series_td < 1e-12
+        assert report.periodicity_defect < 1e-12
+
+
+class TestTimeDomainMemory:
+    # tracemalloc peaks of the scan that evaluated RK4 twice over the whole
+    # (steps x detunings) array and projected by a whole-period inverse FFT,
+    # measured on this case (n_per 31416) with numpy 2.4.6
+    @pytest.mark.parametrize("deltas, bound_mb", [
+        ([0.5], 3.905), ([-1.0, 0.5], 7.290)])
+    def test_long_period_peak_stays_below_the_measured_bound(self, deltas,
+                                                              bound_mb):
+        params, deltas = normalized_params(5.0, 0.05), np.array(deltas)
+        tracemalloc.start()
+        try:
+            trace = time_domain_excitation(params, deltas)
+            fourier_extract(trace, 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.samples.shape[0] - 1 == 31416
+        assert peak <= bound_mb * 1e6
+
 
 def synthetic_trace(coeff_map, omega=2.0, per=256):
     """One closed period in the rotating frame: y(t) = sum c_n e^{-i n omega t}."""
@@ -375,6 +492,71 @@ class TestFourierExtract:
                                 axis=0) / (n_per * trace.dt)
             dft = fourier_extract(trace, 12).coeffs[:, j]
             assert np.max(np.abs(dft - trap)) < 1e-14
+
+
+def ifft_reference(trace, n_max):
+    """The harmonics of the whole period's inverse FFT."""
+    n_per = trace.samples.shape[0] - 1
+    ns = np.arange(-n_max, n_max + 1)
+    return np.fft.ifft(trace.samples[:-1], axis=0)[ns % n_per]
+
+
+def assert_matches_ifft(trace, n_max):
+    spec = fourier_extract(trace, n_max)
+    np.testing.assert_array_equal(spec.ns, np.arange(-n_max, n_max + 1))
+    err = np.max(np.abs(spec.coeffs - ifft_reference(trace, n_max)))
+    assert err <= 1e-15 * np.max(np.abs(trace.samples))
+
+
+class TestFourierExtractMatchesTheInverseFFT:
+    """fourier_extract takes only the compared harmonics, as a DFT from a
+    table of roots of unity; the inverse FFT of the whole period is the
+    reference."""
+
+    @pytest.mark.parametrize("per, n_max", [
+        (8, 3), (7, 3), (9, 4), (256, 12), (1571, 12), (1571, 785),
+        (20000, 40)])
+    def test_one_dimensional_traces(self, per, n_max):
+        rng = np.random.default_rng(per)
+        samples = rng.normal(size=per + 1) + 1j * rng.normal(size=per + 1)
+        samples[-1] = samples[0]
+        trace = TimeDomainTrace(dt=0.1, samples=samples,
+                                detuning=np.array([0.0]))
+        assert_matches_ifft(trace, n_max)
+
+    @pytest.mark.parametrize("amp, freq, deltas", [
+        (5.0, 2.0, np.linspace(-10.0, 10.0, 21)),
+        (5.0, 8.0, np.array([-1.0, 2.0])),
+        (2.0, 2.0, np.array([0.0])),
+        (10.0, 0.3, np.array([-2.0, 0.3])),
+        (5.0, 0.05, np.array([-1.0, 0.5])),  # one harmonic per phase block
+    ])
+    def test_batched_orbits(self, amp, freq, deltas):
+        trace = time_domain_excitation(normalized_params(amp, freq), deltas)
+        for n_max in (4, 12, 40):
+            assert_matches_ifft(trace, n_max)
+
+    @pytest.mark.parametrize("per", [8, 315, 1571, 20000])
+    def test_constant_orbit(self, per):
+        """Every term of e_0 adds with one sign here, and the DFT sums in
+        sequence, so its error grows like n_per eps (the FFT's like
+        log n_per eps): about 2e-13 relative at n_per = 20000."""
+        c = np.array([0.48 - 0.37j, -1.5 + 0.25j])
+        trace = TimeDomainTrace(dt=0.1, samples=np.tile(c, (per + 1, 1)),
+                                detuning=np.zeros(2))
+        expected = np.zeros((7, 2), complex)
+        expected[3] = c
+        err = np.max(np.abs(fourier_extract(trace, 3).coeffs - expected))
+        assert err <= per * 2.2e-16 * np.max(np.abs(c))
+
+    def test_scalar_orbit(self, params_reference):
+        assert_matches_ifft(time_domain_excitation(params_reference, 0.7), 12)
+
+    def test_aliasing_edge(self):
+        trace = synthetic_trace({0: 1.0, 3: 0.5j, -3: -0.25}, per=8)
+        assert_matches_ifft(trace, 3)
+        with pytest.raises(ValueError, match="alias"):
+            fourier_extract(trace, 4)
 
 
 class TestCrossValidation:
