@@ -287,8 +287,12 @@ def _sweep_spec_from(args) -> SweepSpec:
                              f"finite Omega/gamma > 0, got {args.omega_a!r} "
                              f"(Omega/gamma = {omega_ratio!r})")
     text = getattr(args, "orders", None)
-    orders = () if text is None else tuple(
-        int(tok) for tok in text.split(",") if tok.strip() != "")
+    try:
+        orders = () if text is None else tuple(
+            int(tok) for tok in text.split(",") if tok.strip() != "")
+    except ValueError:
+        raise ValueError(f"--orders ([sweep] orders) must be comma-separated "
+                         f"integers, got {text!r}") from None
     fixed = {attr: getattr(args, attr)
              for attr in ("detuning", "mod_amp_energy", "mod_freq")}
     overrides = {}
@@ -312,7 +316,8 @@ def _sweep_spec_from(args) -> SweepSpec:
     else:
         if args.axis is None or args.axis_range is None:
             raise ValueError("need --preset, or both --axis and --range")
-        start, stop, points = parse_range(args.axis_range)
+        start, stop, points = parse_range(args.axis_range,
+                                          "--range ([sweep] range)")
         spec = SweepSpec(
             axis=args.axis,
             start=start / gamma,
@@ -395,7 +400,8 @@ def cmd_oracle(args) -> int:
                 f"finite numbers (e.g. 5:2,5:8)"
             ) from None
         cases.append((amp, freq))
-    start, stop, points = parse_range(rng)
+    start, stop, points = parse_range(
+        rng, "--delta-range ([oracle] delta_range)")
     if args.dump_config:
         return _write_config(args)
     deltas = np.linspace(start, stop, points)
@@ -437,7 +443,8 @@ def cmd_oracle(args) -> int:
 def cmd_trap(args) -> int:
     stride = args.series_stride
     if stride < 1:
-        raise OutOfRangeError(f"series stride {stride} must be >= 1")
+        raise OutOfRangeError(f"--series-stride ([trap] series_stride) must "
+                              f"be >= 1, got {stride}")
     protocol = default_trap_protocol(
         bandwidth=args.bandwidth,
         amp_energy=args.amp_energy,

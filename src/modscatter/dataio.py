@@ -72,20 +72,20 @@ def render_json(
     return text + "\n"
 
 
-def parse_range(text: str) -> tuple[float, float, int]:
-    """Parse 'start:stop:points' into its typed parts."""
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"range {text!r} is not start:stop:points")
-    start, stop = float(parts[0]), float(parts[1])
-    if not (math.isfinite(start) and math.isfinite(stop)):
-        raise ValueError(f"range {text!r} needs a finite start and stop")
-    points = int(parts[2])
+def parse_range(text: str, name: str = "range") -> tuple[float, float, int]:
+    """Parse 'start:stop:points'; each refusal starts with `name`."""
+    try:
+        start, stop, points = text.split(":")
+        start, stop, points = float(start), float(stop), int(points)
+    except ValueError:
+        raise ValueError(f"{name} {text!r} is not START:STOP:POINTS") from None
+    if not math.isfinite(stop - start):  # else linspace makes nan and inf
+        raise ValueError(f"{name} {text!r} needs a finite stop - start")
     if points < 2:
-        raise ValueError("range needs at least 2 points")
+        raise ValueError(f"{name} {text!r} needs at least 2 points")
     if points > MAX_POINTS:
         raise OutOfRangeError(
-            f"range of {points} points exceeds the limit of {MAX_POINTS}"
+            f"{name} of {points} points exceeds the limit of {MAX_POINTS}"
         )
     return start, stop, points
 

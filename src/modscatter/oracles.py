@@ -24,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import check_domain
-from .errors import OutOfRangeError, ScatterError, SingularSystemError
+from .errors import OutOfRangeError, SingularSystemError
 from .params import EmitterParams
 from .scattering import (
     SidebandBlock,
@@ -35,7 +34,6 @@ from .scattering import (
     _one_row,
     _replay,
     evaluate_sidebands,  # noqa: F401 (unused; perfbench/tracing.py wraps it)
-    modulation_index,
 )
 
 RESIDUAL_TOL = 1e-12
@@ -192,16 +190,6 @@ class TimeDomainTrace:
     detuning: np.ndarray
 
 
-def _step_bound(params: EmitterParams, detunings: np.ndarray) -> float:
-    scale = max(
-        params.gamma,
-        float(np.max(np.abs(detunings))),
-        params.mod_freq,
-        params.mod_amp * params.omega_a,
-    )
-    return 1.0 / (50.0 * scale)
-
-
 def _rk4_step(params: EmitterParams, deltas: np.ndarray, t, y, dt: float):
     """One classical RK4 step of the rotating-frame equation
     y' = [i(Delta - f*Omega cos(omega t)) - gamma] y - iV, vectorised over
@@ -237,7 +225,9 @@ def _td_grid(params: EmitterParams, deltas: np.ndarray) -> tuple[int, float]:
             f"{MAX_DECAY_PER_PERIOD:g} of the one-period scan; mod_freq must "
             f"be >= {2.0 * np.pi * params.gamma / MAX_DECAY_PER_PERIOD:.4g}"
         )
-    steps = np.ceil(t_mod / _step_bound(params, deltas))
+    bound = 1.0 / (50.0 * max(params.gamma, float(np.max(np.abs(deltas))),
+                              om, params.mod_amp * params.omega_a))
+    steps = np.ceil(t_mod / bound) if bound > 0 else np.inf
     if not (steps + 1) * len(deltas) <= MAX_TD_SAMPLES:
         raise OutOfRangeError(
             f"{steps:.4g} steps per period x {len(deltas)} detunings exceeds "
@@ -336,7 +326,8 @@ def time_domain_excitation(params: EmitterParams, detuning) -> TimeDomainTrace:
 
     Refuses with OutOfRangeError, before allocating anything, when
     gamma*T_mod exceeds MAX_DECAY_PER_PERIOD (1/P would overflow) or when
-    the orbit would hold more than MAX_TD_SAMPLES samples.
+    the orbit would hold more than MAX_TD_SAMPLES samples; a rate above
+    about 3.6e306, which rounds the step to 0, would need infinitely many.
     """
     deltas = np.atleast_1d(np.asarray(detuning, float))
     n_per, dt = _td_grid(params, deltas)
@@ -474,48 +465,48 @@ def cross_validate(
 
     The comparison window is the time-domain sideband range (the narrowest);
     outside it the other two routes have only exponentially small content.
-    The series runs on all detunings at once (_converge_block) and harmonic
-    balance on each converged chunk; the rows' warnings and errors are
-    replayed in detuning order (_replay).
+    The routes run cheapest first: the time-domain refusals (_td_grid),
+    which allocate nothing; the series on all detunings at once
+    (_converge_block), with harmonic balance on each converged chunk; the
+    rows' warnings and first error, replayed in detuning order (_replay);
+    and only then the time-domain scan.
     """
     deltas = np.atleast_1d(np.asarray(detuning, float))
+    _td_grid(params, deltas)
     n_td = 12 if params.mod_amp > 0 else 4
-    # the series meets its Bessel domain (_tables) only after the scan:
-    # refuse a modulation index outside it up front, but after the
-    # time-domain refusals, which allocate nothing
-    if params.coupling != 0:
-        try:
-            check_domain(modulation_index(params))
-        except ScatterError:
-            _td_grid(params, deltas)
-            raise
+    window = np.empty((len(deltas), 2 * n_td + 1), complex)
+    dev_hb, d_series, d_hb = np.empty((3, len(deltas)))
+    counts, errors = [[] for _ in deltas], [None] * len(deltas)
+    for rows, series in _converge_block(params, deltas, 1e-11, counts, errors):
+        N = int(series.ns[-1])
+        hb, hb_errors = _harmonic_balance_block(params, deltas[rows], N)
+        # the series window [-N, N] holds the time-domain orders, and the
+        # series on them counts the time-domain set's sidebands at omega_n <= 0
+        on_td = slice(N - n_td, N + n_td + 1)
+        shared = _assemble_block(params, deltas[rows], series.ns[on_td],
+                                 series.r[:, on_td])
+        for k, err, *more in zip(rows.tolist(), hb_errors,
+                                 hb.nonpositive.tolist(),
+                                 shared.nonpositive.tolist()):
+            errors[k] = err
+            if err is None:
+                # each series window, then the harmonic-balance set on the
+                # last of them, then the time-domain set
+                counts[k] += more
+        window[rows] = shared.r
+        dev_hb[rows] = np.max(np.abs(series.r - hb.r), axis=1)
+        d_series[rows] = series.unitarity_defect
+        d_hb[rows] = hb.unitarity_defect
+    _replay(counts, errors)
     trace = time_domain_excitation(params, deltas)
     td_spec = fourier_extract(trace, n_td)
     # one C-contiguous row per detuning, so that each row sums as one set
     r_td = _amplitudes(params, np.ascontiguousarray(td_spec.coeffs.T))
     td = _assemble_block(params, deltas, td_spec.ns, r_td)
-    dev_hb, dev_td, d_series, d_hb = np.empty((4, len(deltas)))
-    counts, errors = [[] for _ in deltas], [None] * len(deltas)
-    for rows, series in _converge_block(params, deltas, 1e-11, counts, errors):
-        N = int(series.ns[-1])
-        hb, hb_errors = _harmonic_balance_block(params, deltas[rows], N)
-        for k, err in zip(rows.tolist(), hb_errors):
-            errors[k] = err
-            if err is None:
-                # each series window, then the harmonic-balance set on the
-                # last of them, then the time-domain set
-                counts[k] += [counts[k][-1], td.nonpositive[k]]
-        # the series window [-N, N] holds the time-domain one
-        window = series.r[:, N - n_td:N + n_td + 1]
-        dev_hb[rows] = np.max(np.abs(series.r - hb.r), axis=1)
-        dev_td[rows] = np.max(np.abs(window - td.r[rows]), axis=1)
-        d_series[rows] = series.unitarity_defect
-        d_hb[rows] = hb.unitarity_defect
-    _replay(counts, errors)
     return ValidationReport(
         detunings=deltas,
         dev_series_hb=dev_hb,
-        dev_series_td=dev_td,
+        dev_series_td=np.max(np.abs(window - td.r), axis=1),
         defect_series=d_series,
         defect_hb=d_hb,
         defect_td=td.unitarity_defect,

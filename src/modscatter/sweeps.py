@@ -143,10 +143,11 @@ def _eval_block(ds: SpectrumDataset, lo: int, values: np.ndarray) -> None:
             hb, hb_errors = _harmonic_balance_block(
                 params, deltas[rows], int(used.ns[-1])
             )
-            for k, err in zip(rows.tolist(), hb_errors):
+            for k, err, count in zip(rows.tolist(), hb_errors,
+                                     hb.nonpositive.tolist()):
                 errors[k] = err
                 if err is None:
-                    counts[k].append(counts[k][-1])  # the HB set's count
+                    counts[k].append(count)
             if method == "both":
                 ds.columns["discrepancy"][at] = np.abs(used.total_T - hb.total_T)
             else:

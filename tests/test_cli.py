@@ -359,6 +359,12 @@ def no_engine(monkeypatch):
                  "inf", id="delta-range-stop"),
     pytest.param(["spectrum"], "[sweep]\naxis = detuning\nrange = -inf:1:3\n",
                  "-inf", id="config-range"),
+    # finite ends whose span overflows would make linspace yield nan and inf
+    pytest.param(["spectrum", "--axis", "detuning", "--range=-1e308:1e308:3",
+                  "--mod-amp-energy", "1", "--mod-freq", "1"], None, "1e308",
+                 id="range-span"),
+    pytest.param(["oracle", "--cases", "5:2", "--delta-range=-1e308:1e308:3"],
+                 None, "1e308", id="delta-range-span"),
     pytest.param(["spectrum", "--axis", "detuning", "--range", "0:1:3"],
                  "[params]\nmod_freq = nan\n", "nan", id="config-mod-freq"),
     pytest.param(["oracle"], "[oracle]\ndelta_range = 0:nan:3\n", "nan",
@@ -375,6 +381,37 @@ def test_non_finite_inputs_refused_before_running(
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert value in err
+
+
+@pytest.mark.parametrize("form", ["flag", "config"])
+@pytest.mark.parametrize("argv, flag, value, section", [
+    pytest.param(["sidebands", "--preset", "fig4a"], "--orders", "x", "sweep",
+                 id="orders"),
+    pytest.param(["spectrum", "--axis", "detuning", "--mod-amp-energy", "1",
+                  "--mod-freq", "1"], "--range", "a:1:3", "sweep", id="range"),
+    pytest.param(["oracle"], "--delta-range", "1:2:x", "oracle",
+                 id="delta-range-points"),
+    pytest.param(["oracle"], "--delta-range", "1:2", "oracle",
+                 id="delta-range-parts"),
+    pytest.param(["trap"], "--series-stride", "0", "trap", id="series-stride"),
+])
+def test_usage_errors_name_their_flag_and_key(argv, flag, value, section,
+                                              form, tmp_path, capsys,
+                                              no_engine):
+    """A 64 names the flag and its config key, given either way."""
+    key = flag[2:].replace("-", "_")
+    if form == "flag":
+        argv = argv + [f"{flag}={value}"]
+    else:
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[{section}]\n{key} = {value}\n")
+        argv = argv + ["--config", str(cfg)]
+    assert main(argv) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{flag} ([{section}] {key})" in captured.err
+    assert "invalid literal" not in captured.err
+    assert "could not convert" not in captured.err
 
 
 class TestRawUnitOnlyInputs:
@@ -944,6 +981,22 @@ class TestOracleCommand:
         monkeypatch.setattr(np, "linspace", never_build)
         assert main(["oracle", "--delta-range", "-1:1:1000000000"]) == 64
         assert "100000" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["--cases", "1e307:2", "--delta-range=-1:1:3"],
+        ["--cases", "2:1e307"],
+        ["--cases", "0:1e307"],
+        ["--cases", "2:2", "--delta-range=1e307:1:3"],
+    ])
+    def test_step_rounding_to_zero_exits_64(self, argv, capsys, monkeypatch):
+        def never_run(*args, **kwargs):
+            raise AssertionError("refused input reached the scan")
+
+        monkeypatch.setattr(np, "cumprod", never_run)
+        assert main(["oracle", *argv]) == 64
+        err = capsys.readouterr().err
+        assert "error[out-of-range]" in err
+        assert "inf steps per period" in err
 
     @pytest.fixture
     def no_solve(self, monkeypatch):

@@ -339,6 +339,10 @@ class TestTimeDomainLimits:
         (1000.0, 1.0, 300, OutOfRangeError, str(2**21)),
         (5e5, 1.0, 2, OutOfRangeError, str(2**21)),
         (5.0, 0.0, 2, ValueError, "mod_freq > 0"),
+        # f*Omega or omega near the float64 maximum rounds the step to 0
+        (1e307, 2.0, 3, OutOfRangeError, "inf steps per period"),
+        (2.0, 1e307, 3, OutOfRangeError, "inf steps per period"),
+        (0.0, 1e307, 3, OutOfRangeError, "inf steps per period"),
     ])
     def test_time_domain_refusals_still_come_first(self, amp, freq, n, error,
                                                    message):
@@ -347,6 +351,41 @@ class TestTimeDomainLimits:
             params = normalized_params(amp, freq)
         with pytest.raises(error, match=message):
             cross_validate(params, np.linspace(-1.0, 1.0, n))
+
+    @pytest.mark.usefixtures("no_scan")
+    @pytest.mark.parametrize("amp, freq, deltas", [
+        (1e307, 2.0, [-1.0, 0.0, 1.0]),
+        (2.0, 1e307, [0.0]),
+        (2.0, 2.0, [1e307, 0.5, 1.0]),
+        (2.0, 2.0, [-1.7e308]),
+    ])
+    def test_step_rounding_to_zero_is_refused(self, amp, freq, deltas):
+        # 50 max(gamma, |Delta|, omega, f*Omega) overflows, so the step
+        # bound is 0: refused up front, with no numpy warning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # f = amp/Omega is not small
+            params = normalized_params(amp, freq)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for route in (time_domain_excitation, cross_validate):
+                with pytest.raises(OutOfRangeError,
+                                   match="inf steps per period"):
+                    route(params, np.array(deltas))
+
+    def test_series_failure_is_raised_before_the_scan(self, monkeypatch):
+        # u = 999 is inside the Bessel domain, but the series converges only
+        # to u of about 484; its TruncationError comes before any orbit
+        def fail(*args, **kwargs):
+            raise AssertionError("a failing series reached the scan")
+
+        monkeypatch.setattr(oracles, "time_domain_excitation", fail)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # f = amp/Omega is not small
+            params = normalized_params(999.0, 1.0)
+        with pytest.raises(TruncationError) as info:
+            cross_validate(params, np.array([0.0, 1.0]))
+        assert str(info.value) == ("unitarity defect 6.715e-04 still above "
+                                   "tol=1e-11 at sideband_max=512")
 
 
 def rk4_maps_reference(params, deltas, n_per, dt):
@@ -757,6 +796,7 @@ class TestCrossValidateBlocks:
         params, deltas = case
         monkeypatch.setattr(oracles, "time_domain_excitation",
                             flat_time_domain)
+        monkeypatch.setattr(oracles, "_td_grid", lambda params, deltas: None)
         fail_at(monkeypatch, deltas, faults)
         expected = [NONPOSITIVE.format(c) for c in counts]
         err, caught = outcome(per_detuning_reference, params, deltas)
@@ -772,6 +812,7 @@ class TestCrossValidateBlocks:
         shapes = record_block_shapes(monkeypatch)
         monkeypatch.setattr(oracles, "time_domain_excitation",
                             flat_time_domain)
+        monkeypatch.setattr(oracles, "_td_grid", lambda params, deltas: None)
         report = cross_validate(normalized_params(30.0, 1.0),
                                 np.linspace(-30.0, 30.0, 1000))
         assert max(rows for _, rows, _ in shapes) == scattering.BLOCK_ROWS
