@@ -70,15 +70,6 @@ def _miller_sequence(n_max: int, x: float) -> np.ndarray:
     return out / ssum
 
 
-def check_domain(x: float) -> None:
-    """Refuse with OutOfRangeError an argument outside the validated domain
-    |x| < DOMAIN_LIMIT."""
-    if not math.isfinite(x) or abs(x) >= DOMAIN_LIMIT:
-        raise OutOfRangeError(
-            f"argument {x!r} outside validated domain |x| < {DOMAIN_LIMIT:g}"
-        )
-
-
 def bessel_j_sequence(n_max: int, x: float) -> np.ndarray:
     """J_0(x) .. J_{n_max}(x) as a float array.
 
@@ -86,7 +77,10 @@ def bessel_j_sequence(n_max: int, x: float) -> np.ndarray:
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    check_domain(x)
+    if not math.isfinite(x) or abs(x) >= DOMAIN_LIMIT:
+        raise OutOfRangeError(
+            f"argument {x!r} outside validated domain |x| < {DOMAIN_LIMIT:g}"
+        )
     ax = abs(x)
     if ax <= SERIES_CUTOFF:
         seq = np.array([_series_single(n, ax) for n in range(n_max + 1)])

@@ -295,9 +295,9 @@ class GridState:
         self.p_cav = _cavity_sum(self)
 
 
-def _cavity_sum(state: GridState) -> float:
-    """p_cav re-summed from the fields (cells m_lo..m_hi plus emitters)."""
-    cav = slice(state._m_lo, state._m_hi + 1)
+def _cavity_sum(state: GridState, cells: slice | None = None) -> float:
+    """p_cav re-summed: the fields on m_lo..m_hi (or `cells`) and emitters."""
+    cav = slice(state._m_lo, state._m_hi + 1) if cells is None else cells
     f = (
         np.sum(np.abs(state.phi_R[cav]) ** 2)
         + np.sum(np.abs(state.phi_L[cav]) ** 2)
@@ -306,16 +306,9 @@ def _cavity_sum(state: GridState) -> float:
 
 
 def norm(state: GridState) -> float:
-    """Total probability, boundary tallies included."""
-    field_part = (
-        np.sum(np.abs(state.phi_R) ** 2) + np.sum(np.abs(state.phi_L) ** 2)
-    ) * state.dx
-    return float(
-        field_part
-        + np.sum(np.abs(state.e_site) ** 2)
-        + state.reflected_out
-        + state.transmitted_out
-    )
+    """Total probability: all cells and emitters, then the two tallies."""
+    return (_cavity_sum(state, slice(None)) + state.reflected_out
+            + state.transmitted_out)
 
 
 def init_grid(protocol: TrapProtocol) -> GridState:

@@ -38,7 +38,7 @@ from .errors import (
 )
 from .oracles import cross_validate
 from .params import OMEGA_RATIO, normalized_params
-from .sweeps import SweepSpec, figure_presets, run_sweep
+from .sweeps import AXES, METHODS, SweepSpec, figure_presets, run_sweep
 
 EXIT_OK = 0
 MAX_PRECISION = 16  # %.16e gives 17 significant digits: every double round-trips
@@ -110,12 +110,12 @@ def _add_sweep_flags(p: argparse.ArgumentParser, orders: bool) -> None:
     sweep = p.add_argument_group("sweep")
     sweep.add_argument("--preset",
                        help="named preset (see the presets command)")
-    sweep.add_argument("--axis",
-                       choices=("detuning", "mod_amp_energy", "mod_freq"))
+    sweep.add_argument("--axis", choices=AXES,
+                       help="the swept parameter")
     sweep.add_argument("--range", dest="axis_range",
                        metavar="START:STOP:POINTS")
-    sweep.add_argument("--method",
-                       choices=("series", "harmonic_balance", "both"))
+    sweep.add_argument("--method", choices=METHODS,
+                       help="amplitude route (default series)")
     if orders:
         sweep.add_argument("--orders", help="comma-separated sideband "
                                             "orders (default 0,1,2)")

@@ -31,6 +31,7 @@ from .scattering import (
     SidebandSet,
     _assemble_block,
     _converge_block,
+    _finite,
     _one_row,
     _replay,
     evaluate_sidebands,  # noqa: F401 (unused; perfbench/tracing.py wraps it)
@@ -141,6 +142,7 @@ def _hb_excitations(
     One _ladder_excitations call solves the block; the residual check runs
     on the block.
     """
+    _finite(detunings)
     if params.gamma == 0:
         e = np.full((len(detunings), 2 * order + 1), np.nan, complex)
         return e, [SingularSystemError("zero coupling makes the system "
@@ -215,6 +217,7 @@ def _td_grid(params: EmitterParams, deltas: np.ndarray) -> tuple[int, float]:
     """The steps per period n_per and the step dt of the time-domain scan
     over deltas, or its refusal (see time_domain_excitation); allocates
     nothing."""
+    _finite(deltas)
     om = params.mod_freq
     if om <= 0:
         raise ValueError("time-domain oracle requires mod_freq > 0")

@@ -203,6 +203,14 @@ def _assemble_block(
     )
 
 
+def _finite(detunings: np.ndarray) -> np.ndarray:
+    """detunings, or OutOfRangeError naming the first that is not finite."""
+    bad = detunings[~np.isfinite(detunings)]
+    if len(bad):
+        raise OutOfRangeError(f"detuning {float(bad[0])!r} is not finite")
+    return detunings
+
+
 def _one_row(blk: SidebandBlock) -> SidebandSet:
     """The set of a one-row block, after its non-positive-frequency
     warning."""
@@ -226,31 +234,34 @@ def reflection_amplitudes(
     if sideband_max < 0:
         raise ValueError("sideband_max must be >= 0")
     return _one_row(_series_block(
-        params, np.array([detuning], float), sideband_max,
+        params, _finite(np.array([detuning], float)), sideband_max,
         tables=_tables(params, sideband_max),
     ))
 
 
-def static_limit_amplitudes(params: EmitterParams, detuning: float) -> SidebandSet:
-    """Unmodulated (or frozen-modulation) scatterer: a single Lorentzian line.
+def _static_block(params: EmitterParams, detunings: np.ndarray) -> SidebandBlock:
+    """The static line of each of `detunings` as one block on n = 0.
 
     With omega = 0 the emitter sits at the shifted frequency Omega*(1+f), so
     the effective detuning is Delta_eff = Delta - f*Omega; with f = 0 it is
-    Delta itself. r_0 = -i*gamma/(Delta_eff + i*gamma), t_0 = 1 + r_0.
+    Delta itself. r_0 = -i*gamma/(Delta_eff + i*gamma), t_0 = 1 + r_0, and
+    r_0 = 0 at zero coupling.
     """
+    _finite(detunings)
+    gamma, fo = params.gamma, params.mod_amp * params.omega_a
+    r0 = (-1j * gamma / (detunings - fo + 1j * gamma) if gamma != 0
+          else np.zeros(len(detunings), complex))
+    return _assemble_block(params, detunings, np.arange(0, 1), r0[:, None])
+
+
+def static_limit_amplitudes(params: EmitterParams, detuning: float) -> SidebandSet:
+    """Unmodulated (or frozen-modulation) scatterer: a single Lorentzian
+    line, the one-row _static_block."""
     if params.mod_freq != 0 and params.mod_amp != 0:
         raise NotStaticError(
             "static limit requires mod_freq == 0 or mod_amp == 0"
         )
-    gamma = params.gamma
-    if params.mod_freq == 0 and params.mod_amp != 0:
-        delta_eff = detuning - params.mod_amp * params.omega_a
-    else:
-        delta_eff = detuning
-    r0 = 0j if gamma == 0 else -1j * gamma / (delta_eff + 1j * gamma)
-    return _one_row(_assemble_block(
-        params, np.array([detuning], float), np.arange(0, 1), np.array([[r0]])
-    ))
+    return _one_row(_static_block(params, np.array([detuning], float)))
 
 
 def _truncation_orders(params: EmitterParams):
@@ -283,6 +294,7 @@ def _converge_block(
     """
     if not (tol > 0):
         raise ValueError("tol must be positive")
+    _finite(detunings)
     pending = np.arange(len(detunings))
     best = np.full(len(detunings), np.inf)
     for n in _truncation_orders(params):

@@ -16,15 +16,11 @@ from .dataio import MAX_POINTS
 from .errors import OutOfRangeError
 from .params import OMEGA_RATIO, EmitterParams, normalized_params
 from .oracles import _harmonic_balance_block
-from .scattering import (
-    TRUNCATION_TOL,
-    _converge_block,
-    _replay,
-    evaluate_sidebands,
-)
+from .scattering import TRUNCATION_TOL, _converge_block, _replay, _static_block
 # Not called here; kept in this namespace because perfbench/tracing.py wraps
 # these names.
-from .oracles import amplitudes_from_excitation, harmonic_balance_solve  # noqa: F401
+from .oracles import amplitudes_from_excitation, evaluate_sidebands  # noqa: F401
+from .oracles import harmonic_balance_solve  # noqa: F401
 
 AXES = ("detuning", "mod_amp_energy", "mod_freq")
 METHODS = ("series", "harmonic_balance", "both")
@@ -63,6 +59,9 @@ class SweepSpec:
             value = getattr(self, name)
             if not np.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
+        if not np.isfinite(float(self.stop) - float(self.start)):
+            raise ValueError(f"stop - start must be finite, got "
+                             f"{self.start!r}:{self.stop!r}")
         if not (self.omega_ratio > 0):
             raise ValueError(
                 f"omega_ratio must be positive, got {self.omega_ratio!r}")
@@ -95,44 +94,41 @@ class SpectrumDataset:
     flags: np.ndarray               # True where a row failed convergence
 
 
-def _store(ds: SpectrumDataset, rows, sset) -> None:
+def _store(ds: SpectrumDataset, rows, blk) -> None:
     """Write the totals, each T_n = |t_n|^2 (zero outside the window), the
-    truncation and the flag of a SidebandSet or a SidebandBlock into `rows`
-    of the dataset."""
+    truncation and the flag of a block into `rows` of the dataset."""
     out = ds.columns
-    out["T"][rows] = sset.total_T
-    out["R"][rows] = sset.total_R
-    out["unitarity_defect"][rows] = sset.unitarity_defect
-    t = sset.t.reshape(-1, len(sset.ns))
+    out["T"][rows] = blk.total_T
+    out["R"][rows] = blk.total_R
+    out["unitarity_defect"][rows] = blk.unitarity_defect
     for n in ds.spec.sideband_orders:
-        i = int(n) - int(sset.ns[0])
+        i = int(n) - int(blk.ns[0])
         out[f"T_{n}"][rows] = (
-            [float(abs(z) ** 2) for z in t[:, i]] if 0 <= i < len(sset.ns)
+            [float(abs(z) ** 2) for z in blk.t[:, i]] if 0 <= i < len(blk.ns)
             else 0.0
         )
-    ds.truncation_orders[rows] = sset.ns[-1]
-    ds.flags[rows] = sset.unitarity_defect > UNITARITY_FLAG_TOL
+    ds.truncation_orders[rows] = blk.ns[-1]
+    ds.flags[rows] = blk.unitarity_defect > UNITARITY_FLAG_TOL
 
 
 def _eval_block(ds: SpectrumDataset, lo: int, values: np.ndarray) -> None:
     """Evaluate the rows from `lo` on, at the axis `values`, which share one
     EmitterParams, into the dataset.
 
-    The rows are auto-truncated together (_converge_block); rows still
-    failing at the cap keep their NaNs and flags. Harmonic balance runs on
-    each converged chunk. The rows' warnings and harmonic-balance errors
-    are replayed in row order (_replay).
+    Static rows are one _static_block. Modulated rows are auto-truncated
+    together (_converge_block); rows still failing at the cap keep their
+    NaNs and flags. Harmonic balance runs on each converged chunk. The rows'
+    warnings and harmonic-balance errors are replayed in row order (_replay).
     """
     spec, method = ds.spec, ds.spec.method
     params = spec.params_at(values[0])[0]
-    deltas = values if spec.axis == "detuning" else [spec.detuning]
+    deltas = np.array(values if spec.axis == "detuning" else [spec.detuning],
+                      float)
     if params.mod_freq == 0:
-        # row by row, on the detuning as given: Python's complex division
-        # and numpy's differ in the last bits
-        for k, delta in enumerate(deltas):
-            _store(ds, [lo + k], evaluate_sidebands(params, delta))
+        blk = _static_block(params, deltas)
+        _store(ds, slice(lo, lo + len(deltas)), blk)
+        _replay(blk.nonpositive[:, None].tolist(), [None] * len(deltas))
         return
-    deltas = np.array(deltas)
     counts = [[] for _ in deltas]
     capped, errors = [None] * len(deltas), [None] * len(deltas)
     for rows, used in _converge_block(

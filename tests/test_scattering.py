@@ -10,15 +10,20 @@ from modscatter import (
     EmitterParams,
     ExcitationSpectrum,
     NotStaticError,
+    OutOfRangeError,
     StaticLimitError,
     TruncationError,
     auto_truncation,
     amplitudes_from_excitation,
+    cross_validate,
     evaluate_sidebands,
+    figure_presets,
+    harmonic_balance_solve,
     modulation_index,
     normalized_params,
     reflection_amplitudes,
     static_limit_amplitudes,
+    time_domain_excitation,
 )
 from modscatter import scattering
 from conftest import same_bits, series_row
@@ -74,6 +79,109 @@ class TestStaticLimit:
     def test_single_entry_only(self):
         out = static_limit_amplitudes(normalized_params(0.0, 0.0), 0.3)
         assert list(out.ns) == [0]
+
+
+def fig2_grids():
+    """(params, detunings) of the two static presets."""
+    for name in ("fig2_static", "fig2_trivial_amp"):
+        spec = figure_presets()[name]
+        yield spec.params_at(0.0)[0], spec.axis_values()
+
+
+def raw_static(coupling, omega_a, mod_amp_energy):
+    """Static parameters in raw units, gamma = coupling**2."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # gamma is not small at 2500
+        return EmitterParams(omega_a=omega_a, mod_amp=mod_amp_energy / omega_a,
+                             mod_freq=0.0, coupling=coupling,
+                             group_velocity=1.0)
+
+
+EDGE_DETUNINGS = np.array([-0.0, 0.0, 5e-324, -1e-300, 1e-300, 3.0, -1e150,
+                           1e150, -1e300, 1e300])
+
+
+class TestStaticBlock:
+    """The static line is one numpy expression, so its bits do not depend
+    on the detuning's Python type or on the rows evaluated with it."""
+
+    @pytest.mark.parametrize("grid", list(fig2_grids()),
+                             ids=["fig2_static", "fig2_trivial_amp"])
+    def test_python_and_numpy_floats_give_the_same_bits(self, grid):
+        params, detunings = grid
+        for delta in detunings.tolist():
+            same_bits(evaluate_sidebands(params, delta),
+                      evaluate_sidebands(params, np.float64(delta)))
+
+    @pytest.mark.parametrize("params, detunings", [
+        *fig2_grids(),
+        (normalized_params(5.0, 0.0), EDGE_DETUNINGS),
+        (raw_static(0.6082762530298219, 40.0, 3.0), EDGE_DETUNINGS),  # 0.37
+        (raw_static(50.0, 1e5, 100.0),
+         np.concatenate([EDGE_DETUNINGS, np.linspace(-1e4, 1e4, 401)])),
+        (normalized_params(0.0, 2.0), EDGE_DETUNINGS),  # mod_amp = 0 only
+    ], ids=["fig2_static", "fig2_trivial_amp", "edges", "raw_gamma_0.37",
+            "raw_gamma_2500", "running_frequency_no_amplitude"])
+    def test_block_equals_the_rows_as_numpy_scalars(self, params, detunings):
+        g, fo = params.gamma, params.mod_amp * params.omega_a
+        ref = np.array([-1j * g / (np.float64(d) - fo + 1j * g)
+                        for d in detunings])
+        blk = scattering._static_block(params, detunings)
+        assert blk.r[:, 0].tobytes() == ref.tobytes()
+        assert blk.t[:, 0].tobytes() == (ref + 1.0).tobytes()
+        assert list(blk.ns) == [0]
+        assert blk.omega[:, 0].tobytes() == (params.omega_a
+                                             + detunings).tobytes()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # Omega + Delta <= 0 at -1e150
+            for k, delta in enumerate(detunings.tolist()):
+                same_bits(blk.row(k), static_limit_amplitudes(params, delta))
+
+    def test_zero_coupling_reflects_nothing(self):
+        params = raw_static(0.0, 1000.0, 5.0)
+        blk = scattering._static_block(params, EDGE_DETUNINGS)
+        assert not np.any(blk.r)
+        assert np.all(blk.total_T == 1.0)
+        assert np.all(blk.unitarity_defect == 0.0)
+
+    def test_rows_at_non_positive_frequency_are_counted(self):
+        params = raw_static(2.0, 40.0, 3.0)
+        blk = scattering._static_block(params, np.array([-60.0, -40.0, 0.0]))
+        assert blk.nonpositive.tolist() == [1, 1, 0]
+
+
+def _modulated():
+    return normalized_params(5.0, 2.0)
+
+
+# every public entry that takes a detuning, with the block entry that
+# refuses it: _converge_block, _series_block's caller, _static_block,
+# _hb_excitations and _td_grid
+NON_FINITE_ENTRIES = {
+    "reflection_amplitudes": lambda d: reflection_amplitudes(_modulated(), d,
+                                                             20),
+    "auto_truncation": lambda d: auto_truncation(_modulated(), d),
+    "evaluate_sidebands": lambda d: evaluate_sidebands(_modulated(), d),
+    "evaluate_sidebands_static": lambda d: evaluate_sidebands(
+        normalized_params(5.0, 0.0), d),
+    "static_limit_amplitudes": lambda d: static_limit_amplitudes(
+        normalized_params(5.0, 0.0), d),
+    "harmonic_balance_solve": lambda d: harmonic_balance_solve(_modulated(),
+                                                               d, 20),
+    "time_domain_excitation": lambda d: time_domain_excitation(_modulated(),
+                                                               d),
+    "cross_validate": lambda d: cross_validate(_modulated(), [d, 0.0]),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("delta", [np.nan, np.inf, -np.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("entry", list(NON_FINITE_ENTRIES))
+def test_non_finite_detuning_is_refused_before_any_warning(entry, delta):
+    with pytest.raises(OutOfRangeError,
+                       match=f"^detuning {float(delta)!r} is not finite$"):
+        NON_FINITE_ENTRIES[entry](delta)
 
 
 class TestSeriesAmplitudes:

@@ -45,6 +45,11 @@ class TestSweepSpec:
         with pytest.raises(OutOfRangeError, match="100000"):
             SweepSpec(axis="detuning", start=0.0, stop=1.0, points=100_001)
 
+    def test_overflowing_span_is_refused(self):
+        # linspace would make the rows nan, inf and 1e308
+        with pytest.raises(ValueError, match="stop - start must be finite"):
+            SweepSpec(axis="detuning", start=-1e308, stop=1e308, points=3)
+
     def test_axis_values_are_uniform(self):
         spec = SweepSpec(axis="detuning", start=-1.0, stop=1.0, points=5)
         np.testing.assert_allclose(
@@ -356,6 +361,34 @@ class TestBlockRows:
             "rows65", "rows129", "static", "mod_freq", "mod_amp_energy"])
     def test_rows_equal_the_per_row_functions(self, spec):
         assert_same_bits(run_sweep(spec), per_row_reference(spec))
+
+    @pytest.mark.parametrize("name", ["fig2_static", "fig2_trivial_amp"])
+    def test_static_rows_equal_the_line_at_python_floats(self, name):
+        spec = figure_presets()[name]
+        ds = run_sweep(spec)
+        params = spec.params_at(0.0)[0]
+        for k, delta in enumerate(spec.axis_values().tolist()):
+            sset = evaluate_sidebands(params, delta)
+            for col, value in (("T", sset.total_T), ("R", sset.total_R),
+                               ("unitarity_defect", sset.unitarity_defect)):
+                assert ds.columns[col][k].tobytes() == \
+                    np.float64(value).tobytes(), (k, col)
+
+    def test_raw_units_static_sweep_warns_row_by_row(self, tmp_path):
+        """Omega = 40 at gamma = 4: the 21 rows at Delta <= -40 warn, one
+        sideband each, in row order, as the rows alone do."""
+        argv = ["spectrum", "--axis", "detuning", "--range=-60:20:81",
+                "--mod-amp-energy", "3", "--mod-freq", "0", "--raw-units",
+                "--coupling", "2", "--group-velocity", "1", "--omega-a", "40",
+                "--out", str(tmp_path / "raw.csv")]
+        _, caught = sideband_warnings(main, argv)
+        spec = SweepSpec(axis="detuning", start=-15.0, stop=5.0, points=81,
+                         mod_amp_energy=0.75, omega_ratio=10.0)
+        ds, swept = sideband_warnings(run_sweep, spec)
+        ref, expected = sideband_warnings(per_row_reference, spec)
+        assert_same_bits(ds, ref)
+        assert caught == swept == expected
+        assert len(expected) == 21
 
     def test_a_retry_splits_a_block_and_the_cap_flags_rows(self):
         doubling = run_sweep(detuning_spec(201)).truncation_orders
