@@ -166,7 +166,8 @@ def harmonic_balance_solve(
     """Solve the tridiagonal system by its two continued fractions
     (_ladder_excitations) and verify the residual."""
     e, errors = _hb_excitations(params, np.array([detuning], float), order)
-    _replay([[]], errors)
+    if errors[0] is not None:
+        raise errors[0]
     return ExcitationSpectrum(ns=np.arange(-order, order + 1), coeffs=e[0])
 
 
@@ -179,6 +180,22 @@ def _harmonic_balance_block(
     e, errors = _hb_excitations(params, detunings, order)
     ns = np.arange(-order, order + 1)
     return _assemble_block(params, detunings, ns, _amplitudes(params, e)), errors
+
+
+def _converge_with_hb(
+    params: EmitterParams, detunings: np.ndarray, tol: float, log: list
+):
+    """_converge_block with harmonic balance at each converged chunk's window
+    N, yielding (rows, series, hb); after each row's series counts it logs
+    the row's harmonic-balance error or, if none, the harmonic-balance
+    set's own count of sidebands at non-positive frequency."""
+    for rows, series in _converge_block(params, detunings, tol, log):
+        hb, errors = _harmonic_balance_block(
+            params, detunings[rows], int(series.ns[-1]))
+        for k, err, count in zip(rows.tolist(), errors,
+                                 hb.nonpositive.tolist()):
+            log[k].append(count if err is None else err)
+        yield rows, series, hb
 
 
 @dataclass(frozen=True)
@@ -470,7 +487,7 @@ def cross_validate(
     outside it the other two routes have only exponentially small content.
     The routes run cheapest first: the time-domain refusals (_td_grid),
     which allocate nothing; the series on all detunings at once
-    (_converge_block), with harmonic balance on each converged chunk; the
+    with harmonic balance on each converged chunk (_converge_with_hb); the
     rows' warnings and first error, replayed in detuning order (_replay);
     and only then the time-domain scan.
     """
@@ -479,28 +496,22 @@ def cross_validate(
     n_td = 12 if params.mod_amp > 0 else 4
     window = np.empty((len(deltas), 2 * n_td + 1), complex)
     dev_hb, d_series, d_hb = np.empty((3, len(deltas)))
-    counts, errors = [[] for _ in deltas], [None] * len(deltas)
-    for rows, series in _converge_block(params, deltas, 1e-11, counts, errors):
-        N = int(series.ns[-1])
-        hb, hb_errors = _harmonic_balance_block(params, deltas[rows], N)
+    log = [[] for _ in deltas]
+    for rows, series, hb in _converge_with_hb(params, deltas, 1e-11, log):
         # the series window [-N, N] holds the time-domain orders, and the
-        # series on them counts the time-domain set's sidebands at omega_n <= 0
+        # series on them counts the time-domain set's sidebands at
+        # omega_n <= 0; a row's count after its error is not replayed
+        N = int(series.ns[-1])
         on_td = slice(N - n_td, N + n_td + 1)
         shared = _assemble_block(params, deltas[rows], series.ns[on_td],
                                  series.r[:, on_td])
-        for k, err, *more in zip(rows.tolist(), hb_errors,
-                                 hb.nonpositive.tolist(),
-                                 shared.nonpositive.tolist()):
-            errors[k] = err
-            if err is None:
-                # each series window, then the harmonic-balance set on the
-                # last of them, then the time-domain set
-                counts[k] += more
+        for k, count in zip(rows.tolist(), shared.nonpositive.tolist()):
+            log[k].append(count)
         window[rows] = shared.r
         dev_hb[rows] = np.max(np.abs(series.r - hb.r), axis=1)
         d_series[rows] = series.unitarity_defect
         d_hb[rows] = hb.unitarity_defect
-    _replay(counts, errors)
+    _replay(log)
     trace = time_domain_excitation(params, deltas)
     td_spec = fourier_extract(trace, n_td)
     # one C-contiguous row per detuning, so that each row sums as one set

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -157,21 +158,21 @@ def _series_block(
     return _assemble_block(params, detunings, np.arange(-N, N + 1), r)
 
 
-def _replay(counts, errors) -> None:
-    """Replay the per-row outcomes of a block in row order: row k warns
-    once per nonzero entry of counts[k], the numbers of sidebands at
-    non-positive frequency of its successive evaluations, then raises
-    errors[k] if it is not None."""
-    for row_counts, error in zip(counts, errors):
-        for count in filter(None, row_counts):
+def _replay(log) -> None:
+    """Replay a block's per-row outcomes in row order: log[k] holds row k's
+    count of sidebands at non-positive frequency of each evaluation, then
+    at most one error, as they happened. Each nonzero count warns; the
+    first error is raised, and nothing after it is replayed."""
+    for outcome in chain.from_iterable(log):
+        if isinstance(outcome, Exception):
+            raise outcome
+        if outcome:
             warnings.warn(
-                f"{count} sideband(s) fall at non-positive frequency; they "
+                f"{outcome} sideband(s) fall at non-positive frequency; they "
                 "are kept in the totals but the linear-dispersion model is "
                 "not physical there",
                 stacklevel=caller_stacklevel(),
             )
-        if error is not None:
-            raise error
 
 
 def _assemble_block(
@@ -214,7 +215,7 @@ def _finite(detunings: np.ndarray) -> np.ndarray:
 def _one_row(blk: SidebandBlock) -> SidebandSet:
     """The set of a one-row block, after its non-positive-frequency
     warning."""
-    _replay([blk.nonpositive.tolist()], [None])
+    _replay([blk.nonpositive.tolist()])
     return blk.row(0)
 
 
@@ -278,8 +279,7 @@ def _truncation_orders(params: EmitterParams):
 
 
 def _converge_block(
-    params: EmitterParams, detunings: np.ndarray, tol: float,
-    counts: list, errors: list,
+    params: EmitterParams, detunings: np.ndarray, tol: float, log: list
 ):
     """Auto-truncation of detunings at one modulation, as a generator: at
     each window N of _truncation_orders it builds the series tables once,
@@ -287,10 +287,10 @@ def _converge_block(
     the converged (rows, block) of each chunk; the rows whose unitarity
     defect is not below tol go on to the next window, regrouped.
 
-    Per row k it appends to counts[k] the number of sidebands at
-    non-positive frequency of each window it goes through; once exhausted,
-    it has set errors[k] of each row still failing at SIDEBAND_CAP to a
-    TruncationError with the row's own least defect.
+    Per row k it appends to log[k] the number of sidebands at non-positive
+    frequency of each window it goes through; once exhausted, it appends to
+    the log of each row still failing at SIDEBAND_CAP a TruncationError
+    with the row's own least defect.
     """
     if not (tol > 0):
         raise ValueError("tol must be positive")
@@ -303,7 +303,7 @@ def _converge_block(
             rows = pending[lo:lo + BLOCK_ROWS]
             blk = _series_block(params, detunings[rows], n, tables=tables)
             for k, count in zip(rows.tolist(), blk.nonpositive.tolist()):
-                counts[k].append(count)
+                log[k].append(count)
             ok = blk.unitarity_defect < tol
             if ok.any():
                 yield (rows, blk) if ok.all() else (rows[ok], blk.take(ok))
@@ -315,11 +315,11 @@ def _converge_block(
             return
     for k in pending.tolist():
         least = float(best[k])
-        errors[k] = TruncationError(
+        log[k].append(TruncationError(
             f"unitarity defect {least:.3e} still above tol={tol:g} "
             f"at sideband_max={n}",
             achieved_defect=least,
-        )
+        ))
 
 
 def auto_truncation(
@@ -330,11 +330,9 @@ def auto_truncation(
     TruncationError. The converged set is returned as evaluated; its
     truncation is N = ns[-1]. This is _converge_block on one detuning.
     """
-    counts, errors = [[]], [None]
-    blocks = list(_converge_block(
-        params, np.array([detuning], float), tol, counts, errors
-    ))
-    _replay(counts, errors)
+    log = [[]]
+    blocks = list(_converge_block(params, np.array([detuning], float), tol, log))
+    _replay(log)
     return blocks[0][1].row(0)
 
 

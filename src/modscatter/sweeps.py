@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import MAX_POINTS
-from .errors import OutOfRangeError
+from .errors import OutOfRangeError, TruncationError
 from .params import OMEGA_RATIO, EmitterParams, normalized_params
-from .oracles import _harmonic_balance_block
+from .oracles import _converge_with_hb
 from .scattering import TRUNCATION_TOL, _converge_block, _replay, _static_block
 # Not called here; kept in this namespace because perfbench/tracing.py wraps
 # these names.
@@ -116,9 +116,10 @@ def _eval_block(ds: SpectrumDataset, lo: int, values: np.ndarray) -> None:
     EmitterParams, into the dataset.
 
     Static rows are one _static_block. Modulated rows are auto-truncated
-    together (_converge_block); rows still failing at the cap keep their
-    NaNs and flags. Harmonic balance runs on each converged chunk. The rows'
-    warnings and harmonic-balance errors are replayed in row order (_replay).
+    together, with harmonic balance on each converged chunk unless the
+    method is "series" (_converge_with_hb). The rows' warnings and first
+    error are replayed in row order (_replay); a row failing at the cap
+    only keeps its NaNs and flag.
     """
     spec, method = ds.spec, ds.spec.method
     params = spec.params_at(values[0])[0]
@@ -127,29 +128,17 @@ def _eval_block(ds: SpectrumDataset, lo: int, values: np.ndarray) -> None:
     if params.mod_freq == 0:
         blk = _static_block(params, deltas)
         _store(ds, slice(lo, lo + len(deltas)), blk)
-        _replay(blk.nonpositive[:, None].tolist(), [None] * len(deltas))
+        _replay(blk.nonpositive[:, None].tolist())
         return
-    counts = [[] for _ in deltas]
-    capped, errors = [None] * len(deltas), [None] * len(deltas)
-    for rows, used in _converge_block(
-        params, deltas, TRUNCATION_TOL, counts, capped
-    ):
+    log = [[] for _ in deltas]
+    converge = _converge_block if method == "series" else _converge_with_hb
+    for rows, series, *hb in converge(params, deltas, TRUNCATION_TOL, log):
         at = lo + rows
-        if method != "series":
-            hb, hb_errors = _harmonic_balance_block(
-                params, deltas[rows], int(used.ns[-1])
-            )
-            for k, err, count in zip(rows.tolist(), hb_errors,
-                                     hb.nonpositive.tolist()):
-                errors[k] = err
-                if err is None:
-                    counts[k].append(count)
-            if method == "both":
-                ds.columns["discrepancy"][at] = np.abs(used.total_T - hb.total_T)
-            else:
-                used = hb
-        _store(ds, at, used)
-    _replay(counts, errors)
+        if method == "both":
+            ds.columns["discrepancy"][at] = np.abs(series.total_T - hb[0].total_T)
+        _store(ds, at, hb[0] if method == "harmonic_balance" else series)
+    _replay([[outcome for outcome in row
+              if not isinstance(outcome, TruncationError)] for row in log])
 
 
 def run_sweep(spec: SweepSpec) -> SpectrumDataset:

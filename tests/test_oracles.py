@@ -850,12 +850,25 @@ class TestPerRowOutcomes:
             same_bits(blk.row(k), clean.row(k))
 
     def test_replay_warns_each_row_then_raises_its_error(self):
-        errors = [None, TruncationError("row 1"), SingularSystemError("row 2")]
+        log = [[0, 3], [5, 0, 7, TruncationError("row 1")],
+               [9, SingularSystemError("row 2")]]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(TruncationError, match="row 1"):
-                scattering._replay([[0, 3], [5, 0, 7], [9]], errors)
+                scattering._replay(log)
         assert [str(w.message).split()[0] for w in caught] == ["3", "5", "7"]
+
+    def test_replay_stops_at_a_rows_error(self):
+        """An entry after a row's error, such as the time-domain count that
+        cross_validate logs after a harmonic-balance error, is not
+        replayed."""
+        log = [[2], [4, SingularSystemError("row 1"), 6, ValueError("late")],
+               [8]]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(SingularSystemError, match="row 1"):
+                scattering._replay(log)
+        assert [str(w.message).split()[0] for w in caught] == ["2", "4"]
 
 
 class TestExcitationAssembly:

@@ -400,16 +400,18 @@ class TestBlockRows:
         assert np.all(np.isnan(capped.columns["T"][capped.flags]))
 
     def test_each_capped_row_carries_its_own_truncation_error(self):
-        """_converge_block sets the error of every row still failing at the
-        cap to its own TruncationError, with the least defect that row
-        reached, and leaves None to every converged row."""
+        """_converge_block ends the log of every row still failing at the cap
+        in its own TruncationError, with the least defect that row reached,
+        after one count per window, and logs no error for a converged
+        row."""
         spec = detuning_spec(21, amp=400.0, start=-500.0, stop=500.0)
         params, deltas = spec.params_at(0.0)[0], spec.axis_values()
-        counts, errors = [[] for _ in deltas], [None] * len(deltas)
+        log = [[] for _ in deltas]
         chunks = scattering._converge_block(
-            params, deltas, scattering.TRUNCATION_TOL, counts, errors)
+            params, deltas, scattering.TRUNCATION_TOL, log)
         converged = [k for rows, _ in chunks for k in rows.tolist()]
-        capped = [k for k, err in enumerate(errors) if err is not None]
+        capped = [k for k, row in enumerate(log)
+                  if any(isinstance(o, Exception) for o in row)]
         assert len(capped) >= 2
         assert sorted(converged + capped) == list(range(len(deltas)))
         orders = list(scattering._truncation_orders(params))
@@ -418,15 +420,17 @@ class TestBlockRows:
                 warnings.simplefilter("ignore")
                 least = min(scattering.reflection_amplitudes(
                     params, deltas[k], n).unitarity_defect for n in orders)
-            assert isinstance(errors[k], TruncationError)
-            assert errors[k].achieved_defect == least
-            assert str(errors[k]) == (
+            *counts, error = log[k]
+            assert isinstance(error, TruncationError)
+            assert error.achieved_defect == least
+            assert str(error) == (
                 f"unitarity defect {least:.3e} still above tol=1e-10 at "
                 f"sideband_max={scattering.SIDEBAND_CAP}")
-            assert len(counts[k]) == len(orders)
-        assert len({errors[k].achieved_defect for k in capped}) > 1
+            assert len(counts) == len(orders)
+            assert all(isinstance(count, int) for count in counts)
+        assert len({log[k][-1].achieved_defect for k in capped}) > 1
 
-    @pytest.mark.parametrize("method", ["series", "both"])
+    @pytest.mark.parametrize("method", ["series", "harmonic_balance", "both"])
     def test_warnings_come_in_row_order(self, method):
         # Omega = 40 gamma: the low sidebands of most rows fall at or below
         # zero frequency, a different number on each row
@@ -449,8 +453,12 @@ class TestBlockRows:
         # rows 9 and 11 converge at N = 512, rows 0, 1, 10 at N = 471
         (detuning_spec(21, amp=400.0, start=-500.0, stop=500.0,
                        method="both"), {10: 1e-6, 11: 2e-6}, "residual"),
+        (detuning_spec(21, amp=400.0, start=-500.0, stop=500.0,
+                       method="harmonic_balance"), {10: 1e-6, 11: 2e-6},
+         "residual"),
     ], ids=["residual-across-windows", "two-residuals",
-            "three-residuals", "interleaved-windows"])
+            "three-residuals", "interleaved-windows",
+            "interleaved-windows-hb"])
     def test_harmonic_balance_failure_names_the_first_failing_row(
         self, monkeypatch, spec, faults, first
     ):
