@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,11 +74,14 @@ P_CAV_TOLERANCE = 1e-12
 def _check_grid_inputs(bandwidth: float, n_cells: int) -> None:
     """Refuse a packet bandwidth or cell count outside the runnable domain
     before any geometry is derived or any array allocated."""
-    if not (math.isfinite(bandwidth) and bandwidth > 0.0
-            and math.isfinite(4.0 / (2.0 * bandwidth) / (2.0 * bandwidth))):
+    # 4*sigma_x^2 = 1/bandwidth^2; 0 refuses a non-finite or non-positive one
+    four_var = (4.0 / (2.0 * bandwidth) / (2.0 * bandwidth)
+                if math.isfinite(bandwidth) and bandwidth > 0.0 else 0.0)
+    if not sys.float_info.min <= four_var <= sys.float_info.max:
         raise OutOfRangeError(
             f"bandwidth must be finite and > 0 with the packet's 4*sigma_x^2 "
-            f"(and so its 30*sigma_x domain) finite, got {bandwidth!r}"
+            f"a normal double (so its 30*sigma_x domain is finite and its "
+            f"profile keeps its digits), got {bandwidth!r}"
         )
     if not 1 <= n_cells <= MAX_CELLS:
         raise OutOfRangeError(

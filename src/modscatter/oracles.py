@@ -95,7 +95,7 @@ def build_harmonic_balance(
     if order < 1:
         raise ValueError("order must be >= 1")
     ns = np.arange(-order, order + 1)
-    diag = np.asarray(detuning, float)[..., None] + ns * params.mod_freq
+    diag = _finite(np.asarray(detuning, float))[..., None] + ns * params.mod_freq
     diag = diag + 1j * params.gamma
     rhs = np.zeros(2 * order + 1, complex)
     rhs[order] = params.coupling
@@ -439,7 +439,7 @@ def amplitudes_from_excitation(
 ) -> SidebandSet:
     """Convert an excitation spectrum to amplitudes via r_n = V e_n/(i v_g)."""
     return _one_row(_assemble_block(
-        params, np.array([detuning], float), spec.ns,
+        params, _finite(np.array([detuning], float)), spec.ns,
         _amplitudes(params, spec.coeffs)[None],
     ))
 

@@ -24,6 +24,7 @@ from modscatter import (
     step,
 )
 from modscatter import cavity
+from modscatter.cli import main
 from conftest import convolution_oracle
 
 
@@ -727,6 +728,30 @@ class TestGridInputRefusals:
         state = init_grid(proto)
         assert np.all(np.isfinite(state.phi_R))
         assert norm(state) == pytest.approx(1.0, abs=1e-12)
+
+    # the last bandwidth accepted at the other end: 4*sigma_x^2 =
+    # 1/bandwidth^2 is still a normal double
+    LARGEST_BANDWIDTH = 6.703903964971299e153
+
+    @pytest.mark.filterwarnings("error")
+    def test_largest_bandwidth_keeps_a_finite_packet(self):
+        proto = default_trap_protocol(bandwidth=self.LARGEST_BANDWIDTH,
+                                      n_cells=1500, modulated=False)
+        state = init_grid(proto)
+        assert np.all(np.isfinite(state.phi_R))
+        assert norm(state) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bandwidth", [
+        math.nextafter(LARGEST_BANDWIDTH, math.inf), 1e200])
+    def test_bandwidth_past_the_largest_refused(self, bandwidth, capsys):
+        with pytest.raises(OutOfRangeError, match="normal double"):
+            default_trap_protocol(bandwidth=bandwidth, n_cells=1500)
+        with pytest.raises(OutOfRangeError, match="normal double"):
+            run_packet_scattering(bandwidth=bandwidth, n_cells=1500)
+        argv = ["trap", "--bandwidth", repr(bandwidth), "--cells", "1500"]
+        assert main(argv) == 64
+        assert "normal double" in capsys.readouterr().err
 
     # dt = dx = 0.1 at bandwidth 0.1 on 1500 cells: the limit is pi/dt = 31.4
     @pytest.mark.parametrize("kwargs", [

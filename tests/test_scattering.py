@@ -15,6 +15,7 @@ from modscatter import (
     TruncationError,
     auto_truncation,
     amplitudes_from_excitation,
+    build_harmonic_balance,
     cross_validate,
     evaluate_sidebands,
     figure_presets,
@@ -156,7 +157,7 @@ def _modulated():
 
 # every public entry that takes a detuning, with the block entry that
 # refuses it: _converge_block, _series_block's caller, _static_block,
-# _hb_excitations and _td_grid
+# _hb_excitations and _td_grid; the last two entries refuse it themselves
 NON_FINITE_ENTRIES = {
     "reflection_amplitudes": lambda d: reflection_amplitudes(_modulated(), d,
                                                              20),
@@ -171,6 +172,10 @@ NON_FINITE_ENTRIES = {
     "time_domain_excitation": lambda d: time_domain_excitation(_modulated(),
                                                                d),
     "cross_validate": lambda d: cross_validate(_modulated(), [d, 0.0]),
+    "amplitudes_from_excitation": lambda d: amplitudes_from_excitation(
+        harmonic_balance_solve(_modulated(), 0.0, 20), _modulated(), d),
+    "build_harmonic_balance": lambda d: build_harmonic_balance(_modulated(),
+                                                               d, 3),
 }
 
 
