@@ -163,16 +163,15 @@ def _replay(log) -> None:
     count of sidebands at non-positive frequency of each evaluation, then
     at most one error, as they happened. Each nonzero count warns; the
     first error is raised, and nothing after it is replayed."""
-    for outcome in chain.from_iterable(log):
+    for outcome in filter(None, chain.from_iterable(log)):
         if isinstance(outcome, Exception):
             raise outcome
-        if outcome:
-            warnings.warn(
-                f"{outcome} sideband(s) fall at non-positive frequency; they "
-                "are kept in the totals but the linear-dispersion model is "
-                "not physical there",
-                stacklevel=caller_stacklevel(),
-            )
+        warnings.warn(
+            f"{outcome} sideband(s) fall at non-positive frequency; they "
+            "are kept in the totals but the linear-dispersion model is not "
+            "physical there",
+            stacklevel=caller_stacklevel(),
+        )
 
 
 def _assemble_block(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import MAX_POINTS
-from .errors import OutOfRangeError, TruncationError
+from .errors import OutOfRangeError
 from .params import OMEGA_RATIO, EmitterParams, normalized_params
 from .oracles import _converge_with_hb
 from .scattering import TRUNCATION_TOL, _converge_block, _replay, _static_block
@@ -137,8 +137,11 @@ def _eval_block(ds: SpectrumDataset, lo: int, values: np.ndarray) -> None:
         if method == "both":
             ds.columns["discrepancy"][at] = np.abs(series.total_T - hb[0].total_T)
         _store(ds, at, hb[0] if method == "harmonic_balance" else series)
-    _replay([[outcome for outcome in row
-              if not isinstance(outcome, TruncationError)] for row in log])
+    # a row failing at the cap keeps its NaNs and flag: the TruncationError
+    # that ends its log is not replayed
+    for k in np.flatnonzero(ds.truncation_orders[lo:lo + len(deltas)] < 0):
+        log[k].pop()
+    _replay(log)
 
 
 def run_sweep(spec: SweepSpec) -> SpectrumDataset:
