@@ -182,13 +182,11 @@ def _harmonic_balance_block(
     return _assemble_block(params, detunings, ns, _amplitudes(params, e)), errors
 
 
-def _converge_with_hb(
-    params: EmitterParams, detunings: np.ndarray, tol: float, log: list
-):
-    """_converge_block with harmonic balance at each converged chunk's window
-    N, yielding (rows, series, hb); after each row's series counts it logs
-    the row's harmonic-balance error or, if none, the harmonic-balance
-    set's own count of sidebands at non-positive frequency."""
+def _converge_with_hb(params: EmitterParams, detunings: np.ndarray,
+                      tol: float, log: list):
+    """_converge_block with harmonic balance at each converged chunk's
+    window, yielding (rows, series, hb). After a row's series counts it logs
+    the row's HB error or, if none, the HB set's own non-positive count."""
     for rows, series in _converge_block(params, detunings, tol, log):
         hb, errors = _harmonic_balance_block(
             params, detunings[rows], int(series.ns[-1]))

@@ -137,8 +137,8 @@ def _eval_block(ds: SpectrumDataset, lo: int, values: np.ndarray) -> None:
         if method == "both":
             ds.columns["discrepancy"][at] = np.abs(series.total_T - hb[0].total_T)
         _store(ds, at, hb[0] if method == "harmonic_balance" else series)
-    # a row failing at the cap keeps its NaNs and flag: the TruncationError
-    # that ends its log is not replayed
+        del series, hb  # else they stay alive while the next chunk is built
+    # a row failing at the cap is flagged: drop its TruncationError
     for k in np.flatnonzero(ds.truncation_orders[lo:lo + len(deltas)] < 0):
         log[k].pop()
     _replay(log)
