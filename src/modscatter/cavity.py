@@ -351,14 +351,30 @@ def init_grid(protocol: TrapProtocol) -> GridState:
 
 def _abs2(z: np.ndarray) -> np.ndarray:
     """|z|**2 per element, bitwise as Python's abs(z) ** 2: numpy's hypot
-    gives abs and libm's pow the square (numpy's x**2 is x*x, which rounds
-    differently on some inputs). Exact zeros, which pow keeps at +0.0, are
-    left out of the pow."""
+    gives h = abs(z) and libm's pow(h, 2.0) the square. pow errs by under
+    0.55 ulp (glibc states 0.54), so it gives the rounded h*h wherever h**2
+    lies within 0.45 of the smaller gap of h*h; there the square is numpy's
+    h*h. The exact residual h**2 - h*h comes from Dekker's split, which
+    needs no fused multiply-add and is exact for 2**-450 <= h <= 2**500; h
+    outside that range is masked to 0 first, so nothing warns. pow runs on
+    the rest, so an overflow still raises OverflowError, and on every
+    nonzero h of an array too short to pay back the split's fixed cost
+    (250 to 450 entries on x86-64)."""
     h = np.hypot(z.real, z.imag)
-    nz = np.flatnonzero(h)
-    h[nz] = np.fromiter(map(math.pow, h[nz].tolist(), itertools.repeat(2.0)),
-                        float, len(nz))
-    return h
+    if len(h) < 256:
+        sq, redo = h, np.flatnonzero(h)
+    else:
+        x = np.where((h >= 2.0**-450) & (h <= 2.0**500), h, 0.0)
+        sq = x * x
+        c = 134217729.0 * x  # 2**27 + 1: x = hi + lo, each of 26 bits or less
+        hi = c - (c - x)
+        lo = x - hi
+        err = ((hi * hi - sq) + 2.0 * hi * lo) + lo * lo  # exactly x**2 - sq
+        gap = sq - np.nextafter(sq, 0.0)  # the smaller of its gaps
+        redo = np.flatnonzero((x != h) | (np.abs(err) > 0.45 * gap))
+    sq[redo] = np.fromiter(map(math.pow, h[redo].tolist(),
+                               itertools.repeat(2.0)), float, len(redo))
+    return sq
 
 
 def _c_prod(a, b) -> np.ndarray:
@@ -439,12 +455,20 @@ def _advance(state: GridState, protocol: TrapProtocol, n: int):
     on scalars; it records e before each step, and p2 follows for the whole
     block in numpy. So do the maps into and out of the bright/dark pair, the
     edge tallies and the cavity-edge fluxes, on operations that round as
-    Python's do: complex +/- complex, complex * float, hypot for abs, libm's
-    pow for the square and running sums seeded with the current tally. Each
+    Python's do: complex +/- complex, complex * float, hypot for abs, the
+    square of _abs2 and running sums seeded with the current tally. Each
     complex * complex product is written out in real parts (_c_prod), since
     numpy's complex multiply may fuse its multiply-adds. So a block is
     bitwise n single steps, where Python's complex multiply does not fuse
     either (as on x86-64).
+
+    A static resonant mirror (one set, hw = +-0) steps by e' = co*e - b,
+    b = isn*lp from numpy over the block. There ph = 1 -+ 0i and isn =
+    (+-0, s), so on finite values that do not overflow, Python's hw*e + lp
+    is lp and ph* changes nothing: the full step is co*e - isn*lp bit for
+    bit, up to the sign of a zero part, which no |z|**2 and no sum with a
+    nonzero sees. numpy's isn*lp is Python's too, fused or not, since one
+    product in each of its parts is an exact zero.
     """
     if not 1 <= n <= state._max_block:
         raise OutOfRangeError(
@@ -461,9 +485,9 @@ def _advance(state: GridState, protocol: TrapProtocol, n: int):
     # step j = 1..n sees lab cell m at R[r0 - j + m] and L[l0 + j + m]
     R[r0 - n : r0] = 0.0
     L[l0 + N : l0 + N + n] = 0.0
-    # what enters the cavity, taken before the mirrors overwrite it
-    entering = (_abs2(R[r0 + lo - n : r0 + lo][::-1])
-                + _abs2(L[l0 + hi + 1 : l0 + hi + 1 + n]))
+    # what enters the cavity, copied before the mirrors overwrite it
+    entering = np.concatenate((R[r0 + lo - n : r0 + lo][::-1],
+                               L[l0 + hi + 1 : l0 + hi + 1 + n]))
     times = _running(state.time, np.full(n, tau))
     mids = times[:-1] + 0.5 * tau
     scheds = (protocol.left_schedule, protocol.right_schedule)
@@ -476,20 +500,26 @@ def _advance(state: GridState, protocol: TrapProtocol, n: int):
         p, d = (a_r + a_l) * c, (a_r - a_l) * c
         sets, per_step = _coefficients(
             _site_offsets(protocol.sites()[i], scheds[i], mids), lam, tau)
-        e, es = complex(e_site[i]), []
-        for lp, (hw, ph, co, isn) in zip((lam * p).tolist(), per_step):
-            es.append(e)
-            e = ph * (co * e - isn * (hw * e + lp))
-        e_site[i] = e
+        e, es, lp = complex(e_site[i]), [], lam * p
         hw, ph, co, isn = sets
+        if np.ndim(hw) == 0 and hw == 0.0:  # one set, resonant: e' = co*e - b
+            for b in (isn * lp).tolist():
+                es.append(e)
+                e = co * e - b
+        else:
+            for lpj, (hwj, phj, coj, isnj) in zip(lp.tolist(), per_step):
+                es.append(e)
+                e = phj * (coj * e - isnj * (hwj * e + lpj))
+        e_site[i] = e
         p2 = _c_prod(ph, co * p - _c_prod(isn, lam * np.array(es) - hw * p))
         R[jr - n : jr] = ((p2 + d) * s)[::-1]
         L[jl + 1 : jl + 1 + n] = (p2 - d) * s
-    # per step: R and L leaving the domain, and leaving the cavity
-    gone_R = _abs2(R[r0 + N - n : r0 + N][::-1])
-    gone_L = _abs2(L[l0 : l0 + n])
-    flux = (-_abs2(R[r0 + hi + 1 - n : r0 + hi + 1][::-1])
-            - _abs2(L[l0 + lo : l0 + lo + n])) + entering
+    # per step, R then L: into the cavity, out of the domain, out of the cavity
+    in_R, in_L, gone_R, gone_L, out_R, out_L = _abs2(np.concatenate((
+        entering, R[r0 + N - n : r0 + N][::-1], L[l0 : l0 + n],
+        R[r0 + hi + 1 - n : r0 + hi + 1][::-1], L[l0 + lo : l0 + lo + n],
+    ))).reshape(6, n)
+    flux = (-out_R - out_L) + (in_R + in_L)
     transmitted = _running(state.transmitted_out, gone_R * tau)
     p_cavs = _running(state.p_cav, flux * tau)
     state.transmitted_out = float(transmitted[-1])

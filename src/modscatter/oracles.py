@@ -142,9 +142,8 @@ def _hb_excitations(
     One _ladder_excitations call solves the block; the residual check runs
     on the block.
     """
-    _finite(detunings)
-    if params.gamma == 0:
-        e = np.full((len(detunings), 2 * order + 1), np.nan, complex)
+    if params.gamma == 0:  # build_harmonic_balance refuses a nan otherwise
+        e = np.full((len(_finite(detunings)), 2 * order + 1), np.nan, complex)
         return e, [SingularSystemError("zero coupling makes the system "
                                        "singular") for _ in detunings]
     sys_ = build_harmonic_balance(params, detunings, order)

@@ -702,6 +702,51 @@ class TestBitwiseKernels:
             with pytest.raises(OverflowError):
                 cavity._abs2(np.array([z]))
 
+    @pytest.mark.filterwarnings("error")
+    def test_abs2_on_many_magnitudes_and_near_midpoint_squares(self):
+        rng = np.random.default_rng(31)
+        mags = 10.0 ** rng.uniform(-160.0, 150.0, 10**6)
+        # h = 1 + k 2**-52 with k*k within 2k of (2j + 1) 2**51: h**2 lies
+        # within 1e-3 of a gap from the midpoint between two doubles
+        ks = [math.isqrt((2 * j + 1) << 51) + up
+              for j in rng.integers(0, 10**9, 2000).tolist() for up in (0, 1)]
+        assert all(abs((k * k) % 2**52 / 2**52 - 0.5) < 1e-3 for k in ks)
+        near = np.array([1.0 + k * 2.0**-52 for k in ks])
+        scales = 2.0 ** np.arange(-500, 500, 7.0)
+        pow2 = 2.0 ** np.arange(-1074, 512.0)
+        hs = np.concatenate((mags, np.outer(scales, near).ravel(), pow2))
+        angle = rng.uniform(-math.pi, math.pi, len(hs))
+        z = hs * np.cos(angle) + 1j * (hs * np.sin(angle))
+        z[-len(pow2):] = pow2 * 1j  # |z| exactly a power of two
+        want = np.array([abs(v) ** 2 for v in z.tolist()])
+        got = cavity._abs2(z)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        for h in (2.0**512, 1e160, 1e300):  # squares past the largest double
+            for n in (0, 300):  # pow on each entry, and after the split
+                with pytest.raises(OverflowError):
+                    cavity._abs2(np.append(z[:n], h * 1j))
+
+    @pytest.mark.parametrize("w", [0.0, -0.0])
+    def test_resonant_static_step_is_one_multiply_add(self, w):
+        # _advance's step of a static resonant mirror, against the general one
+        sets, _ = cavity._coefficients(np.array([w]), 2.0 * math.sqrt(2.0),
+                                       0.25)
+        hw, ph, co, isn = sets
+        assert np.ndim(hw) == 0 and hw == 0.0
+        zs = [z for z in edge_complexes()
+              if math.isfinite(z.real) and math.isfinite(z.imag)]
+        es, lps = np.repeat(zs, len(zs)), np.tile(zs, len(zs))
+        fast = np.array([co * e - b
+                         for e, b in zip(es.tolist(), (isn * lps).tolist())])
+        full = np.array([ph * (co * e - isn * (hw * e + lp))
+                         for e, lp in zip(es.tolist(), lps.tolist())])
+        f, g = fast.view(float), full.view(float)  # real and imaginary parts
+        nonzero = g != 0.0
+        assert nonzero.any() and not nonzero.all()
+        assert np.array_equal(f[nonzero].view(np.int64),
+                              g[nonzero].view(np.int64))
+        assert np.all(f[~nonzero] == 0.0)
+
 
 class TestGridInputRefusals:
     @pytest.mark.parametrize("kwargs", [
