@@ -22,6 +22,7 @@ import numpy as np
 from . import __version__
 from .cavity import default_trap_protocol, run_protocol
 from .dataio import (
+    MAX_TABLE_CELLS,
     dump_config,
     format_float,
     load_config,
@@ -36,8 +37,9 @@ from .errors import (
     OutOfRangeError,
     ScatterError,
 )
-from .oracles import cross_validate
-from .params import OMEGA_RATIO, normalized_params
+from .oracles import MAX_CASES, cross_validate
+from .params import normalized_params
+from .scattering import SIDEBAND_CAP
 from .sweeps import AXES, METHODS, SweepSpec, figure_presets, run_sweep
 
 EXIT_OK = 0
@@ -277,25 +279,29 @@ def _raw_gamma(args) -> float | None:
 
 
 def _sweep_spec_from(args) -> SweepSpec:
+    """The preset's spec, or a custom axis, with every value the user gave
+    applied by one replace; sidebands reports orders 0-2 unless the preset
+    or --orders names others."""
     raw_gamma = _raw_gamma(args)
     gamma = 1.0 if raw_gamma is None else raw_gamma
-    omega_ratio = OMEGA_RATIO
+    given = {attr: getattr(args, attr) / gamma for attr in AXES
+             if getattr(args, attr) is not None}
     if raw_gamma is not None and args.omega_a is not None:
-        omega_ratio = args.omega_a / gamma
-        if not 0 < omega_ratio < math.inf:
+        given["omega_ratio"] = ratio = args.omega_a / gamma
+        if not 0 < ratio < math.inf:
             raise ValueError(f"--omega-a ([params] omega_a) must give a "
                              f"finite Omega/gamma > 0, got {args.omega_a!r} "
-                             f"(Omega/gamma = {omega_ratio!r})")
+                             f"(Omega/gamma = {ratio!r})")
     text = getattr(args, "orders", None)
     try:
-        orders = () if text is None else tuple(
-            int(tok) for tok in text.split(",") if tok.strip() != "")
+        if text is not None:
+            given["sideband_orders"] = tuple(
+                int(tok) for tok in text.split(",") if tok.strip() != "")
     except ValueError:
         raise ValueError(f"--orders ([sweep] orders) must be comma-separated "
                          f"integers, got {text!r}") from None
-    fixed = {attr: getattr(args, attr)
-             for attr in ("detuning", "mod_amp_energy", "mod_freq")}
-    overrides = {}
+    if args.method is not None:
+        given["method"] = args.method
     if args.preset is not None:
         if args.axis is not None or args.axis_range is not None:
             raise ValueError("--preset sets its own axis and range: drop "
@@ -305,64 +311,41 @@ def _sweep_spec_from(args) -> SweepSpec:
             raise ValueError(f"unknown preset {args.preset!r}; "
                              f"available: {', '.join(sorted(presets))}")
         spec = presets[args.preset]
-        # explicit fixed values, orders and the raw-units carrier override
-        # even a preset
-        overrides = {attr: value / gamma for attr, value in fixed.items()
-                     if value is not None}
-        if omega_ratio != spec.omega_ratio:
-            overrides["omega_ratio"] = omega_ratio
-        if text is not None:
-            overrides["sideband_orders"] = orders
     else:
         if args.axis is None or args.axis_range is None:
             raise ValueError("need --preset, or both --axis and --range")
         start, stop, points = parse_range(args.axis_range,
                                           "--range ([sweep] range)")
-        spec = SweepSpec(
-            axis=args.axis,
-            start=start / gamma,
-            stop=stop / gamma,
-            points=points,
-            **{attr: (0.0 if value is None else value) / gamma
-               for attr, value in fixed.items()},
-            sideband_orders=orders,
-            name="custom",
-            omega_ratio=omega_ratio,
-        )
-    if fixed[spec.axis] is not None:
+        spec = SweepSpec(args.axis, start / gamma, stop / gamma, points,
+                         name="custom")
+    if "orders" in args and not given.get("sideband_orders",
+                                          spec.sideband_orders):
+        given["sideband_orders"] = (0, 1, 2)
+    if spec.axis in given:
         raise ValueError(f"--{spec.axis.replace('_', '-')} ([params] "
                          f"{spec.axis}) fixes the swept axis: drop it")
-    if args.method is not None:
-        overrides["method"] = args.method
-    if overrides:
-        spec = dataclasses.replace(spec, **overrides)
+    spec = dataclasses.replace(spec, **given)
+    orders = spec.sideband_orders
+    if (len(set(orders)) < len(orders)
+            or any(abs(n) > SIDEBAND_CAP for n in orders)):
+        raise ValueError(f"--orders ([sweep] orders) must be distinct and "
+                         f"within +-{SIDEBAND_CAP}, the widest window (T_n "
+                         f"is 0 past it), got {text!r}")
+    # axis, T, R, unitarity_defect, sideband_max, flagged, T_n, discrepancy
+    columns = 6 + len(orders) + (spec.method == "both")
+    if spec.points * columns > MAX_TABLE_CELLS:
+        raise OutOfRangeError(
+            f"--range ([sweep] range) of {spec.points} points with "
+            f"{columns} columns exceeds the limit of {MAX_TABLE_CELLS} "
+            f"cells: fewer points or --orders ([sweep] orders)")
     return spec
 
 
-def _sweep_meta(spec: SweepSpec, precision: int) -> dict:
-    return {
-        "generator": f"modscatter {__version__}",
-        "dataset": spec.name or "custom",
-        "axis": spec.axis,
-        "start": format_float(spec.start, precision),
-        "stop": format_float(spec.stop, precision),
-        "points": spec.points,
-        "detuning": format_float(spec.detuning, precision),
-        "mod_amp_energy": format_float(spec.mod_amp_energy, precision),
-        "mod_freq": format_float(spec.mod_freq, precision),
-        "method": spec.method,
-        "units": "gamma-normalized",
-    }
-
-
 def cmd_sweep(args) -> int:
-    """spectrum and sidebands; sidebands reports orders 0-2 unless the
-    preset or --orders names others."""
+    """spectrum and sidebands."""
     spec = _sweep_spec_from(args)
     if args.dump_config:
         return _write_config(args)
-    if "orders" in args and not spec.sideband_orders:
-        spec = dataclasses.replace(spec, sideband_orders=(0, 1, 2))
     ds = run_sweep(spec)
     header = [spec.axis]
     header += list(ds.columns.keys())
@@ -376,7 +359,20 @@ def cmd_sweep(args) -> int:
         f"{spec.points} points, max unitarity defect "
         f"{format_float(max_defect, 3)}, flagged rows {n_flagged}"
     )
-    _emit(args, _sweep_meta(spec, args.precision), header, rows, summary)
+    meta = {
+        "generator": f"modscatter {__version__}",
+        "dataset": spec.name,
+        "axis": spec.axis,
+        "start": format_float(spec.start, args.precision),
+        "stop": format_float(spec.stop, args.precision),
+        "points": spec.points,
+        "detuning": format_float(spec.detuning, args.precision),
+        "mod_amp_energy": format_float(spec.mod_amp_energy, args.precision),
+        "mod_freq": format_float(spec.mod_freq, args.precision),
+        "method": spec.method,
+        "units": "gamma-normalized",
+    }
+    _emit(args, meta, header, rows, summary)
     return EXIT_QUALITY if n_flagged else EXIT_OK
 
 
@@ -388,8 +384,12 @@ def cmd_oracle(args) -> int:
             raise OutOfRangeError(
                 f"{flag} ([oracle] {key}) must be finite and > 0, got {tol!r}"
             )
+    toks = args.cases.split(",")
+    if len(toks) > MAX_CASES:
+        raise OutOfRangeError(f"--cases ([oracle] cases) of {len(toks)} "
+                              f"cases exceeds the limit of {MAX_CASES}")
     cases = []
-    for tok in args.cases.split(","):
+    for tok in toks:
         try:
             amp, freq = (float(v) for v in tok.split(":"))
             if not (math.isfinite(amp) and math.isfinite(freq)):
@@ -496,13 +496,8 @@ def cmd_trap(args) -> int:
 
 def cmd_presets(args) -> int:
     for name, spec in figure_presets().items():
-        fixed = []
-        if spec.axis != "detuning":
-            fixed.append(f"detuning={spec.detuning:g}")
-        if spec.axis != "mod_amp_energy":
-            fixed.append(f"mod_amp_energy={spec.mod_amp_energy:g}")
-        if spec.axis != "mod_freq":
-            fixed.append(f"mod_freq={spec.mod_freq:g}")
+        fixed = [f"{attr}={getattr(spec, attr):g}" for attr in AXES
+                 if attr != spec.axis]
         orders = (f", orders={list(spec.sideband_orders)}"
                   if spec.sideband_orders else "")
         print(f"{name}: {spec.axis} in [{spec.start:g}, {spec.stop:g}] "

@@ -19,6 +19,9 @@ from .errors import OutOfRangeError
 
 # points in one range: 250x the 401-point figure presets
 MAX_POINTS = 100_000
+# points x output columns of one sweep: a MAX_POINTS sweep with the default
+# orders and --method both; at the cap CSV peaks near 120 MB, JSON 340 MB
+MAX_TABLE_CELLS = 1_000_000
 
 
 def format_float(x: float, precision: int = 12) -> str:

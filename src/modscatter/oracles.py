@@ -46,6 +46,8 @@ MAX_DECAY_PER_PERIOD = 600.0
 # scan is 32 MB and an oracle run peaks near 100 MB (6636 detunings) to
 # 130 MB (two detunings over 1.05M steps)
 MAX_TD_SAMPLES = 2**21
+# cases in one oracle run, each bounded by MAX_TD_SAMPLES: 16x the default
+MAX_CASES = 64
 # orbit samples (steps x detunings) per block of the RK4 maps, of their
 # check and of the Fourier phases: bounds the temporaries, whatever the period
 BLOCK_SAMPLES = 2**14
@@ -495,16 +497,15 @@ def cross_validate(
     dev_hb, d_series, d_hb = np.empty((3, len(deltas)))
     log = [[] for _ in deltas]
     for rows, series, hb in _converge_with_hb(params, deltas, 1e-11, log):
-        # the series window [-N, N] holds the time-domain orders, and the
-        # series on them counts the time-domain set's sidebands at
+        # the series window [-N, N] holds the time-domain orders, and its
+        # frequencies on them count the time-domain set's sidebands at
         # omega_n <= 0; a row's count after its error is not replayed
         N = int(series.ns[-1])
         on_td = slice(N - n_td, N + n_td + 1)
-        shared = _assemble_block(params, deltas[rows], series.ns[on_td],
-                                 series.r[:, on_td])
-        for k, count in zip(rows.tolist(), shared.nonpositive.tolist()):
+        counts = (series.omega[:, on_td] <= 0).sum(axis=1)
+        for k, count in zip(rows.tolist(), counts.tolist()):
             log[k].append(count)
-        window[rows] = shared.r
+        window[rows] = series.r[:, on_td]
         dev_hb[rows] = np.max(np.abs(series.r - hb.r), axis=1)
         d_series[rows] = series.unitarity_defect
         d_hb[rows] = hb.unitarity_defect

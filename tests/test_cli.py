@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -722,6 +723,140 @@ def test_fixed_value_on_the_swept_axis_refused(argv, ini, flag, tmp_path,
     assert "fixes the swept axis" in captured.err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("argv", [
+    pytest.param(["spectrum", "--preset", "fig3b"], id="preset"),
+    pytest.param(["spectrum", "--axis", "mod_freq", "--range", "0.1:1:3"],
+                 id="custom"),
+])
+def test_non_finite_value_on_the_swept_axis_refused_as_fixing_it(
+    argv, value, capsys, no_engine
+):
+    """A preset and a custom axis take the user's values on one path, so a
+    non-finite value on the swept axis gets the one refusal either way."""
+    assert main(argv + [f"--mod-freq={value}"]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("--mod-freq ([params] mod_freq) fixes the swept axis"
+            in captured.err)
+
+
+@pytest.mark.parametrize("name", sorted(modscatter.figure_presets()))
+def test_custom_axis_spelled_like_a_preset_gives_its_spec(name):
+    preset = modscatter.figure_presets()[name]
+    argv = ["sidebands" if preset.sideband_orders else "spectrum",
+            "--axis", preset.axis,
+            f"--range={preset.start!r}:{preset.stop!r}:{preset.points}"]
+    argv += [f"--{attr.replace('_', '-')}={getattr(preset, attr)!r}"
+             for attr in cli.AXES if attr != preset.axis]
+    args = cli.build_parser().parse_args(argv)
+    spec = cli._sweep_spec_from(args)
+    assert spec.name == "custom"
+    assert dataclasses.replace(spec, name=name) == preset
+
+
+def test_preset_with_empty_orders_gets_the_default_orders():
+    args = cli.build_parser().parse_args(
+        ["sidebands", "--preset", "fig3a", "--orders="])
+    assert cli._sweep_spec_from(args).sideband_orders == (0, 1, 2)
+
+
+class Reached(BaseException):
+    """Raised in place of the engine: the input was accepted."""
+
+
+def _table(points, n_orders, method="series"):
+    """A detuning sweep of `points` rows and 6 + n_orders columns (one more
+    under --method both), its orders centred on 0."""
+    low = -(n_orders // 2)
+    orders = ",".join(map(str, range(low, low + n_orders)))
+    return ["sidebands", "--axis", "detuning", f"--range=-1:1:{points}",
+            "--mod-amp-energy", "5", "--mod-freq", "2", f"--orders={orders}",
+            "--method", method]
+
+
+class TestWorkBounds:
+    """Each sweep and oracle input has a stated bound, refused with exit 64
+    before the engine runs; the bound itself is accepted."""
+
+    SIDEBANDS = ["sidebands", "--axis", "detuning", "--range=-1:1:3",
+                 "--mod-amp-energy", "5", "--mod-freq", "2"]
+
+    @pytest.fixture
+    def engine(self, monkeypatch):
+        def reached(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(cli, "run_sweep", reached)
+        monkeypatch.setattr(cli, "cross_validate", reached)
+
+    @staticmethod
+    def refused(argv, flag, capsys):
+        assert main(argv) == 64
+        assert main(argv + ["--dump-config"]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count(flag) == 2
+
+    @pytest.mark.parametrize("orders", ["600,-513,0", "-513", "513",
+                                        "1,1", "0,2,-1,2"])
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    def test_order_past_the_cap_or_repeated_refused(
+        self, orders, form, tmp_path, capsys, engine
+    ):
+        argv = self.SIDEBANDS + [f"--orders={orders}"]
+        if form == "config":
+            (tmp_path / "run.ini").write_text(f"[sweep]\norders = {orders}\n")
+            argv = self.SIDEBANDS + ["--config", str(tmp_path / "run.ini")]
+        self.refused(argv, "--orders ([sweep] orders)", capsys)
+
+    def test_orders_at_the_cap_run(self, tmp_path):
+        out = tmp_path / "side.csv"
+        cap = scattering.SIDEBAND_CAP
+        assert main(self.SIDEBANDS + [f"--orders={cap},-{cap},0",
+                                      "--out", str(out)]) == 0
+        _, header, table = read_csv(out)
+        assert header[1:7] == ["T", "R", "unitarity_defect", f"T_{cap}",
+                               f"T_-{cap}", "T_0"]
+        assert np.all(table[f"T_{cap}"] == 0.0)
+
+    def test_table_past_the_cell_cap_refused(self, capsys, engine):
+        cells = modscatter.dataio.MAX_TABLE_CELLS
+        assert cells % 1000 == 0
+        self.refused(_table(cells // 1000 + 1, 994), "--range ([sweep] range)",
+                     capsys)
+        self.refused(_table(cells // 1000, 994, "both"),
+                     "--range ([sweep] range)", capsys)
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(_table(modscatter.dataio.MAX_TABLE_CELLS // 1000, 994),
+                     id="at-the-cap"),
+        pytest.param(["sidebands", "--axis", "detuning",
+                      f"--range=-1:1:{modscatter.dataio.MAX_POINTS}",
+                      "--mod-amp-energy", "5", "--mod-freq", "2",
+                      "--method", "both"],
+                     id="max-points-default-orders-both"),
+        pytest.param(_table(modscatter.dataio.MAX_TABLE_CELLS // 1031, 1025),
+                     id="every-order"),
+    ])
+    def test_tables_within_the_cell_cap_accepted(self, argv, engine):
+        with pytest.raises(Reached):
+            main(argv)
+
+    def test_cases_past_the_cap_refused(self, tmp_path, capsys, engine):
+        cases = ",".join(["5:2"] * (modscatter.oracles.MAX_CASES + 1))
+        self.refused(["oracle", "--cases", cases], "--cases ([oracle] cases)",
+                     capsys)
+        (tmp_path / "run.ini").write_text(f"[oracle]\ncases = {cases}\n")
+        self.refused(["oracle", "--config", str(tmp_path / "run.ini")],
+                     "--cases ([oracle] cases)", capsys)
+
+    def test_cases_at_the_cap_accepted(self, engine):
+        cases = ",".join(["5:2"] * modscatter.oracles.MAX_CASES)
+        with pytest.raises(Reached):
+            main(["oracle", "--cases", cases])
+
+
 @pytest.mark.parametrize("ini, names", [
     pytest.param("mod_amp_energy = 2\n", "bad.ini", id="no-section-header"),
     pytest.param("[params]\nmod_freq = 2\nmod_freq = 3\n", "bad.ini",
@@ -813,7 +948,8 @@ def _maybe(strategy):
 def sweep_argvs(draw):
     """A 3-point spectrum or sidebands run over any axis, with any mix of
     fixed values, method, orders, raw units, precision and format; now and
-    then the swept axis is given a fixed value too, which must be refused."""
+    then the swept axis is given a fixed value too, or an order repeats,
+    which must be refused."""
     command = draw(st.sampled_from(["spectrum", "sidebands"]))
     axis = draw(st.sampled_from(["detuning", "mod_amp_energy", "mod_freq"]))
     low = -5.0 if axis == "detuning" else 0.5
@@ -852,7 +988,10 @@ def test_dump_is_a_fixed_point_and_replays_the_run(argv):
         out, cfg = Path(tmp, "data.out"), Path(tmp, "run.ini")
         argv = argv + ["--out", str(out)]
         swept = argv[argv.index("--axis") + 1].replace("_", "-")
-        if any(arg.startswith(f"--{swept}=") for arg in argv):
+        orders = [arg.split("=")[1].split(",") for arg in argv
+                  if arg.startswith("--orders=")]
+        if (any(arg.startswith(f"--{swept}=") for arg in argv)
+                or any(len(set(ns)) < len(ns) for ns in orders)):
             with contextlib.redirect_stderr(io.StringIO()):
                 assert main(argv + ["--dump-config"]) == 64
                 assert main(argv) == 64
